@@ -358,11 +358,7 @@ def write_suite_outputs(
                 order.append(tag)
             groups[tag].append(res)
         for tag in order:
-            spec = EcdfSpec(
-                n_targets=sc.ecdf_targets,
-                n_trials=len(groups[tag]),
-                max_evals=sc.max_evals,
-            )
+            spec = EcdfSpec(n_targets=sc.ecdf_targets)
             write_ecdf_csv(out / f"ecdf__{tag}.csv", ecdf_from_results(groups[tag], spec))
 
 

@@ -184,8 +184,9 @@ def sample_population(
 ) -> EvaluatedPopulation:
     """Draw lambda candidates x_i = m + sigma * sqrt(C) z_i, z_i ~ N(0, I).
 
-    ``sqrt_C`` lets callers reuse a cached symmetric square root; when given
-    it must equal ``sym_sqrt(params.C)``.
+    ``sqrt_C`` is a symmetric square root of ``params.C`` the caller already
+    holds, used as given (roots from different decompositions of C agree up
+    to round-off only); ``sym_sqrt(params.C)`` when omitted.
     """
     if sqrt_C is None:
         if not np.all(np.isfinite(params.C)):
@@ -197,11 +198,15 @@ def sample_population(
     return EvaluatedPopulation(x=x, y=y, z=z)
 
 
-def rank_and_recombine(pop: EvaluatedPopulation, sp: StrategyParams):
-    """Weighted averages of the best-mu steps: dy = sum_i w_i y_{i:lam}, dz alike."""
+def rank_and_recombine(pop: EvaluatedPopulation, sp: StrategyParams, best=None):
+    """Weighted averages of the best-mu steps: dy = sum_i w_i y_{i:lam}, dz alike.
+
+    ``best`` takes precomputed best-mu indices, ``pop.ranking()[:mu]``.
+    """
     if pop.fitness is None or pop.fitness.shape != (sp.lam,):
         raise ValueError("population must carry one fitness value per candidate")
-    best = pop.ranking()[: sp.mu]
+    if best is None:
+        best = pop.ranking()[: sp.mu]
     dy = sp.weights @ pop.y[best]
     dz = sp.weights @ pop.z[best]
     return dy, dz
@@ -235,20 +240,24 @@ def cma_candidate_update(
     dy: np.ndarray,
     pop: EvaluatedPopulation,
     sp: StrategyParams,
+    best=None,
 ) -> DistributionParams:
     """One plain CMA-ES parameter update, returned as a proposal.
 
     ``paths`` must already hold the freshly cumulated paths for this
-    generation.  The exponent of the step-size update is clamped at 1, and
-    the covariance update combines the h_sigma correction, rank-one, and
-    rank-mu terms; the result is explicitly symmetrized.
+    generation; ``best`` is as in :func:`rank_and_recombine`.  The exponent
+    of the step-size update is clamped at 1, and the covariance update
+    combines the h_sigma correction, rank-one, and rank-mu terms; the result
+    is explicitly symmetrized.
     """
     m_new = params.m + sp.c_m * params.sigma * dy
     p_norm = float(np.linalg.norm(paths.p_sigma))
     sigma_new = params.sigma * math.exp(
         min(1.0, (sp.c_sigma / sp.d_sigma) * (p_norm / sp.chi_d - 1.0))
     )
-    y_best = pop.y[pop.ranking()[: sp.mu]]
+    if best is None:
+        best = pop.ranking()[: sp.mu]
+    y_best = pop.y[best]
     rank_mu = (y_best.T * sp.weights) @ y_best
     C = params.C
     C_new = (

@@ -44,10 +44,10 @@ TERM_NUMERICAL = "numerical_error"
 SIGMA_COLLAPSE_TOL = 1e-16
 # Covariance condition-number limit.  Diverging fixed-learning-rate runs let
 # single axes collapse until the eigenvalue ratio blows past 1e7, where
-# double-precision determinants of C stop being meaningful; the benchmark
-# suite never needs more than ~1.7e6 (the Ellipsoid's fully adapted shape),
-# so 4e6 separates degenerate states from legitimate ones with margin on
-# both sides.
+# double-precision determinants of C stop being meaningful.  Legitimate runs
+# come close: adaptive-eta Ellipsoid runs to 1e-8 (seeds 0-2) peak at kappa
+# 1.4e6-1.6e6 at d=10, 1.7e6-3.4e6 at d=20 and 1.8e6-2.4e6 at d=40, so the
+# margin below 4e6 can be as small as 1.2x.
 KAPPA_LIMIT = 4e6
 # Persistent-floor rule: abort when more than this fraction of generations
 # needed the positive-definiteness repair, checked after a warm-up.
@@ -296,12 +296,10 @@ class EcdfSpec:
     """Target grid for runtime profiles: n_targets values from 1e6 to 1e-3."""
 
     n_targets: int = 30
-    n_trials: int = 20
-    max_evals: int = 100_000_000
 
     def __post_init__(self):
-        if self.n_targets < 2 or self.n_trials < 1:
-            raise ValueError("need at least 2 targets and 1 trial")
+        if self.n_targets < 2:
+            raise ValueError("need at least 2 targets")
 
     @property
     def targets(self) -> np.ndarray:

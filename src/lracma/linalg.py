@@ -1,13 +1,14 @@
 """Symmetric eigendecomposition helpers for matrix square roots.
 
-Everything here goes through ``numpy.linalg.eigh`` so the same decomposition
-backs sampling (square root of C), the Fisher-metric change of coordinates
-(inverse square root of sigma^2 C), and positive-definiteness repairs.
+Everything here goes through ``numpy.linalg.eigh``.  One decomposition per
+generation backs sampling (square root of C), the Fisher-metric change of
+coordinates (inverse square root of sigma^2 C), and positive-definiteness
+repairs; the optimizer passes it along explicitly.
 """
 
 import numpy as np
 
-from .errors import NumericalError, SingularMetricError
+from .errors import NumericalError
 
 # Absolute eigenvalue floor applied before square roots; guards against
 # negative round-off eigenvalues without touching well-conditioned matrices.
@@ -36,17 +37,3 @@ def sym_sqrt(a: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     """Symmetric matrix square root via eigendecomposition."""
     w, v = eigh_or_raise(a)
     return sqrt_from_eigh(w, v, floor)
-
-
-def sym_inv_sqrt(a: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Symmetric inverse square root via eigendecomposition.
-
-    Raises:
-        SingularMetricError: if any eigenvalue is at or below ``floor``.
-    """
-    w, v = eigh_or_raise(a)
-    if w.min() <= floor:
-        raise SingularMetricError(
-            f"min eigenvalue {w.min():.3e} at or below floor {floor:.0e}"
-        )
-    return (v / np.sqrt(w)) @ v.T

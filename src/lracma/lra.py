@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,8 +31,8 @@ from .core import (
     sample_population,
     update_paths,
 )
-from .errors import NumericalError
-from .linalg import eigh_or_raise, sqrt_from_eigh, sym_inv_sqrt, symmetrize
+from .errors import NumericalError, SingularMetricError
+from .linalg import EIG_FLOOR, eigh_or_raise, sqrt_from_eigh, symmetrize
 
 logger = logging.getLogger(__name__)
 
@@ -111,19 +111,23 @@ def compute_deltas(old: DistributionParams, proposed: DistributionParams) -> Del
     return DeltaPair(delta_m=delta_m, delta_sigma=delta_sigma)
 
 
-def to_local_coordinates(dp: DeltaPair, cov_old: np.ndarray):
+def to_local_coordinates(dp: DeltaPair, w: np.ndarray, v: np.ndarray):
     """Map raw deltas into coordinates where the Fisher metric is the identity.
 
-    With S = sqrt(Sigma)^-1 (symmetric inverse square root of the old full
-    covariance) the mean delta becomes S delta_m and the covariance delta
-    becomes 2^(-1/2) vec(S mat(delta_sigma) S).
+    ``(w, v)`` is the eigendecomposition of the old full covariance Sigma,
+    eigenvalues ascending as ``numpy.linalg.eigh`` returns them.  With
+    S = v diag(w^-1/2) v^T, the symmetric inverse square root of Sigma, the
+    mean delta becomes S delta_m and the covariance delta becomes
+    2^(-1/2) vec(S mat(delta_sigma) S).
 
     Raises:
-        SingularMetricError: if ``cov_old`` has an eigenvalue at or below the
+        SingularMetricError: if the smallest eigenvalue is at or below the
             eigenvalue floor, so the metric cannot be inverted.
     """
+    if w[0] <= EIG_FLOOR:
+        raise SingularMetricError(f"min eigenvalue {w[0]:.3e} <= {EIG_FLOOR:.0e}")
     d = dp.delta_m.size
-    inv_sqrt = sym_inv_sqrt(cov_old)
+    inv_sqrt = (v / np.sqrt(w)) @ v.T
     tilde_m = inv_sqrt @ dp.delta_m
     tilde_sigma = math.sqrt(0.5) * (
         inv_sqrt @ dp.delta_sigma.reshape(d, d) @ inv_sqrt
@@ -137,7 +141,7 @@ def update_snr_state(state: LraComponentState, tilde: np.ndarray, beta: float) -
         raise ValueError("delta dimension does not match the moving average")
     E = (1 - beta) * state.E + beta * tilde
     V = (1 - beta) * state.V + beta * float(tilde @ tilde)
-    return replace(state, E=E, V=V)
+    return LraComponentState(state.eta, E, V)
 
 
 def estimate_snr(state: LraComponentState, beta: float) -> float:
@@ -176,9 +180,12 @@ def apply_blended_update(
 ):
     """Scale the parameter deltas by their learning rates and apply them.
 
-    Returns ``(m_new, cov_new, floored)`` where ``cov_new`` is the full
-    covariance Sigma (symmetrized) and ``floored`` reports whether round-off
-    pushed an eigenvalue below the relative floor and it had to be raised.
+    Returns ``(m_new, cov_new, (w, v), floored)`` where ``cov_new`` is the
+    full covariance Sigma (symmetrized), ``(w, v)`` its eigendecomposition,
+    the generation's only one, and ``floored`` reports whether round-off
+    pushed an eigenvalue of the blend below the relative floor and it had to
+    be raised.  A Sigma with no positive eigenvalue raises NumericalError
+    ``nonpositive_determinant``.
 
     When a component's eta is exactly 1 and ``proposed`` is given, that
     component is taken from ``proposed`` unchanged; a full step then
@@ -189,42 +196,43 @@ def apply_blended_update(
         m_new = proposed.m
     else:
         m_new = old.m + eta_m * dp.delta_m
-    if eta_sigma == 1.0 and proposed is not None:
+    full_step = eta_sigma == 1.0 and proposed is not None
+    if full_step:
         cov_new = proposed.covariance
-        return m_new, cov_new, False
-    cov_new = symmetrize(old.covariance + eta_sigma * dp.delta_sigma.reshape(d, d))
+    else:
+        cov_new = symmetrize(old.covariance + eta_sigma * dp.delta_sigma.reshape(d, d))
     w, v = eigh_or_raise(cov_new)
     if w[-1] <= 0:
         raise NumericalError(
             "nonpositive_determinant", "blended covariance has no positive eigenvalue"
         )
     floor = SPD_REL_FLOOR * w[-1]
-    floored = bool(w[0] < floor)
+    floored = not full_step and bool(w[0] < floor)
     if floored:
         logger.warning(
             "blended covariance lost positive definiteness (min eig %.3e); flooring",
             w[0],
         )
-        cov_new = symmetrize((v * np.maximum(w, floor)) @ v.T)
-    return m_new, cov_new, floored
+        w = np.maximum(w, floor)
+        cov_new = symmetrize((v * w) @ v.T)
+    return m_new, cov_new, (w, v), floored
 
 
-def decompose_sigma(cov: np.ndarray):
+def decompose_sigma(cov: np.ndarray, w: np.ndarray):
     """Split a full covariance into (sigma, C) with det(C) = 1.
 
-    sigma = det(Sigma)^(1/(2d)) and C = Sigma / sigma^2.
+    ``w`` holds the eigenvalues of ``cov``.  sigma = det(Sigma)^(1/(2d)),
+    taken as exp(sum(log w) / (2d)), and C = Sigma / sigma^2, whose
+    eigenvalues are then w / sigma^2.
 
     Raises:
-        NumericalError: with reason ``nonpositive_determinant`` if the
-            determinant is not positive and finite.
+        NumericalError: with reason ``nonpositive_determinant`` if an
+            eigenvalue is not positive or the determinant is not finite.
     """
     d = cov.shape[0]
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not math.isfinite(logdet):
-        raise NumericalError(
-            "nonpositive_determinant",
-            f"covariance determinant sign {sign}, log|det| {logdet}",
-        )
+    logdet = float(np.log(w).sum()) if w.min() > 0 else math.nan
+    if not math.isfinite(logdet):
+        raise NumericalError("nonpositive_determinant", f"min eigenvalue {w.min():.3e}")
     sigma = math.exp(logdet / (2 * d))
     return sigma, cov / sigma**2
 
@@ -340,7 +348,7 @@ class LraCmaEs:
         self._state_sigma = LraComponentState(eta=eta_sigma, E=np.zeros(d * d), V=0.0)
         self._pending: Optional[EvaluatedPopulation] = None
         self._floor_count = 0
-        self._refresh_cov_cache()
+        self._refresh_cov_cache(*eigh_or_raise(self._params.C))
 
     # -- read-only views -------------------------------------------------
 
@@ -412,61 +420,62 @@ class LraCmaEs:
         sp = self._sp
         hp = self._hyper
         old = self._params
-        dy, dz = rank_and_recombine(pop, sp)
-        self._paths, h_sigma = update_paths(self._paths, dy, dz, sp)
-        proposed = cma_candidate_update(old, self._paths, h_sigma, dy, pop, sp)
+        best = pop.ranking()[: sp.mu]
+        dy, dz = rank_and_recombine(pop, sp, best)
+        paths, h_sigma = update_paths(self._paths, dy, dz, sp)
+        proposed = cma_candidate_update(old, paths, h_sigma, dy, pop, sp, best)
 
+        state_m, state_sigma = self._state_m, self._state_sigma
         snr_m = snr_sigma = math.nan
         floored = False
         if self._lr_mode == "plain":
-            self._params = proposed
+            params = proposed
+            w_c, v = eigh_or_raise(params.C)
         else:
             dp = compute_deltas(old, proposed)
-            eta_m_old = self._state_m.eta
+            eta_m_old = eta_m = state_m.eta
+            eta_sigma = state_sigma.eta
             if self._lr_mode == "adaptive":
-                tilde_m, tilde_sigma = to_local_coordinates(dp, old.covariance)
-                self._state_m = update_snr_state(self._state_m, tilde_m, hp.beta_m)
-                self._state_sigma = update_snr_state(
-                    self._state_sigma, tilde_sigma, hp.beta_sigma
-                )
-                snr_m = estimate_snr(self._state_m, hp.beta_m)
-                snr_sigma = estimate_snr(self._state_sigma, hp.beta_sigma)
+                w_old, v_old = self._eig_C
+                w_old = old.sigma**2 * w_old
+                tilde_m, tilde_sigma = to_local_coordinates(dp, w_old, v_old)
+                state_m = update_snr_state(state_m, tilde_m, hp.beta_m)
+                state_sigma = update_snr_state(state_sigma, tilde_sigma, hp.beta_sigma)
+                snr_m = estimate_snr(state_m, hp.beta_m)
+                snr_sigma = estimate_snr(state_sigma, hp.beta_sigma)
                 eta_m = adapt_learning_rate(eta_m_old, snr_m, hp, hp.beta_m)
-                eta_sigma = adapt_learning_rate(
-                    self._state_sigma.eta, snr_sigma, hp, hp.beta_sigma
-                )
-                self._state_m = replace(self._state_m, eta=eta_m)
-                self._state_sigma = replace(self._state_sigma, eta=eta_sigma)
-            else:
-                eta_m, eta_sigma = eta_m_old, self._state_sigma.eta
-            m_new, cov_new, floored = apply_blended_update(
+                eta_sigma = adapt_learning_rate(eta_sigma, snr_sigma, hp, hp.beta_sigma)
+                state_m = LraComponentState(eta_m, state_m.E, state_m.V)
+                state_sigma = LraComponentState(eta_sigma, state_sigma.E, state_sigma.V)
+            m_new, cov_new, (w, v), floored = apply_blended_update(
                 old, dp, eta_m, eta_sigma, proposed=proposed
             )
-            self._floor_count += floored
-            sigma_new, C_new = decompose_sigma(cov_new)
+            sigma_new, C_new = decompose_sigma(cov_new, w)
+            w_c = w / sigma_new**2
             if self._lr_mode == "adaptive":
                 sigma_new = correct_step_size(sigma_new, eta_m_old, eta_m)
             if not np.all(np.isfinite(m_new)) or not math.isfinite(sigma_new):
                 raise NumericalError(
                     "nonfinite_state", "blended update produced non-finite values"
                 )
-            self._params = DistributionParams(m=m_new, sigma=sigma_new, C=C_new)
+            params = DistributionParams(m=m_new, sigma=sigma_new, C=C_new)
 
-        self._refresh_cov_cache()
+        self._params, self._paths = params, paths
+        self._state_m, self._state_sigma = state_m, state_sigma
+        self._floor_count += floored
+        self._refresh_cov_cache(w_c, v)
         return self._make_stats(snr_m, snr_sigma, floored)
 
     # -- internals --------------------------------------------------------
 
-    def _refresh_cov_cache(self):
-        # One eigh per generation covers sampling (sqrt of C), the recorded
-        # eigenvalue extremes, and det(C); sqrt_from_eigh keeps the cached
-        # root bit-identical to sym_sqrt(C).
-        w, v = eigh_or_raise(self._params.C)
-        self._cov_eigvals = w
+    def _refresh_cov_cache(self, w: np.ndarray, v: np.ndarray):
+        # (w, v) decomposes the new C (plain mode: an eigh of C; otherwise the
+        # new Sigma's eigh over sigma^2): the next root, metric and eig stats
+        self._eig_C = (w, v)
         self._sqrt_C = sqrt_from_eigh(w, v)
 
     def _make_stats(self, snr_m: float, snr_sigma: float, floored: bool) -> IterationStats:
-        w = self._cov_eigvals
+        w = self._eig_C[0]
         scale = self._params.sigma ** 2
         # LU-based determinant: noticeably less noise than the eigenvalue
         # product on ill-conditioned shapes

@@ -210,18 +210,18 @@ class TestEcdf:
         assert np.all(np.diff(t) < 0)
 
     def test_no_target_reached(self):
-        spec = EcdfSpec(n_targets=30, n_trials=1)
+        spec = EcdfSpec(n_targets=30)
         curve = ecdf([(np.array([0.0, 10.0]), np.array([1e9, 2e6]))], spec)
         assert curve.evals.size == 0
         assert curve.value_at(1e12) == 0.0
 
     def test_all_targets_hit_from_the_start(self):
-        spec = EcdfSpec(n_targets=30, n_trials=1)
+        spec = EcdfSpec(n_targets=30)
         curve = ecdf([(np.array([0.0, 10.0]), np.array([1e-4, 1e-5]))], spec)
         assert curve.value_at(0) == 1.0
 
     def test_half_of_targets_hit(self):
-        spec = EcdfSpec(n_targets=30, n_trials=1)
+        spec = EcdfSpec(n_targets=30)
         final = spec.targets[14]  # reaches targets 1..15 exactly
         history = (np.array([0.0, 50.0]), np.array([1e9, final]))
         curve = ecdf([history], spec)
@@ -237,12 +237,12 @@ class TestEcdf:
             evals = np.arange(n) * 10.0
             best = np.minimum.accumulate(10.0 ** rng.uniform(-4, 7, n))
             histories.append((evals, best))
-        curve = ecdf(histories, EcdfSpec(n_targets=30, n_trials=5))
+        curve = ecdf(histories, EcdfSpec(n_targets=30))
         assert np.all(np.diff(curve.fraction) >= 0)
         assert np.all((curve.fraction >= 0) & (curve.fraction <= 1))
 
     def test_rejects_increasing_series(self):
-        spec = EcdfSpec(n_targets=5, n_trials=1)
+        spec = EcdfSpec(n_targets=5)
         with pytest.raises(ValueError):
             ecdf([(np.array([0.0, 1.0]), np.array([1.0, 2.0]))], spec)
 
@@ -333,7 +333,7 @@ class TestSuite:
 
     def test_ecdf_from_results(self):
         results = run_suite(self.small_grid())
-        spec = EcdfSpec(n_targets=10, n_trials=3)
+        spec = EcdfSpec(n_targets=10)
         curve = ecdf_from_results(results, spec)
         assert curve.n_pairs == 30
         assert curve.value_at(20_000) > 0

@@ -1,7 +1,6 @@
 """Tests for the learning-rate adaptation layer and the ask/tell optimizer."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from lracma.core import (
     sample_population,
     update_paths,
 )
-from lracma.errors import NumericalError, SingularMetricError
+from lracma.errors import InvalidFitnessError, NumericalError, SingularMetricError
+from lracma.linalg import sqrt_from_eigh
 from lracma.lra import (
     DeltaPair,
     LraCmaEs,
@@ -69,13 +69,13 @@ class TestComputeDeltas:
 class TestLocalCoordinates:
     def test_identity_metric_is_a_noop_up_to_scaling(self):
         dp = DeltaPair(delta_m=np.array([1.0, -2.0]), delta_sigma=np.arange(4.0))
-        tilde_m, tilde_sigma = to_local_coordinates(dp, np.eye(2))
+        tilde_m, tilde_sigma = to_local_coordinates(dp, np.ones(2), np.eye(2))
         assert np.array_equal(tilde_m, dp.delta_m)
         assert np.array_equal(tilde_sigma, math.sqrt(0.5) * dp.delta_sigma)
 
     def test_isotropic_metric_hand_value(self):
         dp = DeltaPair(delta_m=np.array([2.0, 0.0]), delta_sigma=np.zeros(4))
-        tilde_m, _ = to_local_coordinates(dp, 4.0 * np.eye(2))
+        tilde_m, _ = to_local_coordinates(dp, np.full(2, 4.0), np.eye(2))
         assert np.array_equal(tilde_m, [1.0, 0.0])
 
     def test_mean_norm_equals_quadratic_form(self):
@@ -85,7 +85,7 @@ class TestLocalCoordinates:
             cov = random_spd(5, rng)
             delta = rng.standard_normal(5)
             dp = DeltaPair(delta_m=delta, delta_sigma=np.zeros(25))
-            tilde_m, _ = to_local_coordinates(dp, cov)
+            tilde_m, _ = to_local_coordinates(dp, *np.linalg.eigh(cov))
             expected = float(delta @ np.linalg.solve(cov, delta))
             assert float(tilde_m @ tilde_m) == pytest.approx(expected, rel=1e-10)
 
@@ -96,7 +96,7 @@ class TestLocalCoordinates:
             cov = random_spd(4, rng)
             D = random_spd(4, rng) - random_spd(4, rng)
             dp = DeltaPair(delta_m=np.zeros(4), delta_sigma=D.ravel())
-            _, tilde_sigma = to_local_coordinates(dp, cov)
+            _, tilde_sigma = to_local_coordinates(dp, *np.linalg.eigh(cov))
             inv = np.linalg.inv(cov)
             expected = 0.5 * float(np.trace(inv @ D @ inv @ D))
             assert float(tilde_sigma @ tilde_sigma) == pytest.approx(expected, rel=1e-9)
@@ -104,7 +104,7 @@ class TestLocalCoordinates:
     def test_singular_metric_raises(self):
         dp = DeltaPair(delta_m=np.zeros(2), delta_sigma=np.zeros(4))
         with pytest.raises(SingularMetricError):
-            to_local_coordinates(dp, np.diag([1.0, 0.0]))
+            to_local_coordinates(dp, np.array([0.0, 1.0]), np.eye(2))
 
 
 class TestSnrState:
@@ -250,29 +250,36 @@ class TestApplyBlendedUpdate:
             m=np.array([1.5, 1.0]), sigma=1.2, C=np.array([[1.1, 0.1], [0.1, 0.9]])
         )
         dp = compute_deltas(self.OLD, proposed)
-        m_new, cov_new, floored = apply_blended_update(self.OLD, dp, 1.0, 1.0, proposed)
+        m_new, cov_new, (w, v), floored = apply_blended_update(
+            self.OLD, dp, 1.0, 1.0, proposed
+        )
         assert m_new is proposed.m
         assert np.array_equal(cov_new, proposed.covariance)
+        assert (v * w) @ v.T == pytest.approx(cov_new, rel=1e-12)
         assert not floored
 
     def test_null_step_returns_old(self):
         dp = DeltaPair(delta_m=np.array([5.0, 5.0]), delta_sigma=np.full(4, 3.0))
-        m_new, cov_new, _ = apply_blended_update(self.OLD, dp, 0.0, 0.0)
+        m_new, cov_new, _, _ = apply_blended_update(self.OLD, dp, 0.0, 0.0)
         assert np.array_equal(m_new, self.OLD.m)
         assert np.array_equal(cov_new, self.OLD.covariance)
 
     def test_half_step_on_covariance(self):
         dp = DeltaPair(delta_m=np.zeros(2), delta_sigma=np.eye(2).ravel())
-        _, cov_new, floored = apply_blended_update(self.OLD, dp, 1.0, 0.5)
+        _, cov_new, (w, _), floored = apply_blended_update(self.OLD, dp, 1.0, 0.5)
         assert np.array_equal(cov_new, 1.5 * np.eye(2))
+        assert w == pytest.approx([1.5, 1.5], rel=1e-14)
         assert not floored
 
     def test_indefinite_result_is_floored_with_warning(self, caplog):
         dp = DeltaPair(delta_m=np.zeros(2), delta_sigma=np.diag([0.0, -1.5]).ravel())
         with caplog.at_level("WARNING", logger="lracma.lra"):
-            _, cov_new, floored = apply_blended_update(self.OLD, dp, 1.0, 1.0)
+            _, cov_new, (w, v), floored = apply_blended_update(self.OLD, dp, 1.0, 1.0)
         assert floored
         assert np.all(np.linalg.eigvalsh(cov_new) > 0)
+        # the returned decomposition is the floored one
+        assert np.all(w > 0)
+        assert (v * w) @ v.T == pytest.approx(cov_new, rel=1e-12)
         assert any("positive definiteness" in r.message for r in caplog.records)
 
     def test_fully_collapsed_covariance_raises(self):
@@ -284,17 +291,17 @@ class TestApplyBlendedUpdate:
 
 class TestDecomposeSigma:
     def test_isotropic(self):
-        sigma, C = decompose_sigma(4.0 * np.eye(2))
+        sigma, C = decompose_sigma(4.0 * np.eye(2), np.full(2, 4.0))
         assert sigma == pytest.approx(2.0, rel=1e-14)
         assert C == pytest.approx(np.eye(2), rel=1e-14)
 
     def test_identity_is_exact(self):
-        sigma, C = decompose_sigma(np.eye(3))
+        sigma, C = decompose_sigma(np.eye(3), np.ones(3))
         assert sigma == 1.0
         assert np.array_equal(C, np.eye(3))
 
     def test_diagonal_hand_value(self):
-        sigma, C = decompose_sigma(np.diag([1.0, 4.0]))
+        sigma, C = decompose_sigma(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
         assert sigma == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert C == pytest.approx(np.diag([0.5, 2.0]), rel=1e-14)
         assert np.linalg.det(C) == pytest.approx(1.0, abs=1e-12)
@@ -303,16 +310,16 @@ class TestDecomposeSigma:
         rng = np.random.default_rng(12)
         for _ in range(25):
             cov = random_spd(5, rng, scale=10.0 ** rng.integers(-3, 4))
-            sigma, C = decompose_sigma(cov)
+            sigma, C = decompose_sigma(cov, np.linalg.eigvalsh(cov))
             assert np.linalg.det(C) == pytest.approx(1.0, rel=1e-9)
             assert sigma**2 * C == pytest.approx(cov, rel=1e-12)
 
     def test_nonpositive_determinant_raises(self):
         with pytest.raises(NumericalError) as err:
-            decompose_sigma(np.diag([1.0, -1.0]))
+            decompose_sigma(np.diag([1.0, -1.0]), np.array([-1.0, 1.0]))
         assert err.value.reason == "nonpositive_determinant"
         with pytest.raises(NumericalError):
-            decompose_sigma(np.zeros((2, 2)))
+            decompose_sigma(np.zeros((2, 2)), np.zeros(2))
 
 
 class TestCorrectStepSize:
@@ -397,7 +404,8 @@ class TestOptimizer:
             opt.ask()
 
     def test_one_step_matches_manual_op_composition(self):
-        # the adaptive tell() is exactly the documented chain of operations
+        # the adaptive tell() is exactly the documented chain of operations,
+        # threading one eigendecomposition of the blended Sigma per generation
         problem = make_problem("ellipsoid", 4)
         hp = LraHyperParams()
         opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=21)
@@ -410,20 +418,22 @@ class TestOptimizer:
         paths = EvolutionPaths.zero(4)
         state_m = LraComponentState.initial(4)
         state_s = LraComponentState.initial(16)
+        w_c, v = np.linalg.eigh(params.C)
 
-        for _ in range(3):
+        for _ in range(10):
             xs = opt.ask()
             fitness = problem.evaluate_population(xs)
             opt.tell(fitness)
 
-            pop = sample_population(params, sp, mirror_rng)
+            pop = sample_population(params, sp, mirror_rng, sqrt_C=sqrt_from_eigh(w_c, v))
             assert np.array_equal(pop.x, xs)
             pop.fitness = problem.evaluate_population(pop.x)
-            dy, dz = rank_and_recombine(pop, sp)
+            best = pop.ranking()[: sp.mu]
+            dy, dz = rank_and_recombine(pop, sp, best)
             paths, h = update_paths(paths, dy, dz, sp)
-            proposed = cma_candidate_update(params, paths, h, dy, pop, sp)
+            proposed = cma_candidate_update(params, paths, h, dy, pop, sp, best)
             dp = compute_deltas(params, proposed)
-            tm, ts = to_local_coordinates(dp, params.covariance)
+            tm, ts = to_local_coordinates(dp, params.sigma**2 * w_c, v)
             state_m = update_snr_state(state_m, tm, hp.beta_m)
             state_s = update_snr_state(state_s, ts, hp.beta_sigma)
             eta_m_old = state_m.eta
@@ -431,10 +441,13 @@ class TestOptimizer:
             eta_s = adapt_learning_rate(
                 state_s.eta, estimate_snr(state_s, hp.beta_sigma), hp, hp.beta_sigma
             )
-            state_m = replace(state_m, eta=eta_m)
-            state_s = replace(state_s, eta=eta_s)
-            m_new, cov_new, _ = apply_blended_update(params, dp, eta_m, eta_s, proposed)
-            sigma_new, C_new = decompose_sigma(cov_new)
+            state_m = LraComponentState(eta=eta_m, E=state_m.E, V=state_m.V)
+            state_s = LraComponentState(eta=eta_s, E=state_s.E, V=state_s.V)
+            m_new, cov_new, (w, v), _ = apply_blended_update(
+                params, dp, eta_m, eta_s, proposed
+            )
+            sigma_new, C_new = decompose_sigma(cov_new, w)
+            w_c = w / sigma_new**2
             sigma_new = correct_step_size(sigma_new, eta_m_old, eta_m)
             params = DistributionParams(m=m_new, sigma=sigma_new, C=C_new)
 
@@ -445,7 +458,8 @@ class TestOptimizer:
 
     def test_unit_eta_reduces_to_plain_update_plus_resplit(self):
         # eta_m = eta_sigma = 1 pinned: bitwise equal to the plain CMA-ES
-        # update followed by the det-based re-split, for 100 generations
+        # update followed by the eigenvalue-based re-split, for 100
+        # generations, with samples drawn from the re-split's decomposition
         problem = make_problem("sphere", 5)
         opt = LraCmaEs(
             problem.init_m,
@@ -461,18 +475,22 @@ class TestOptimizer:
             m=problem.init_m.astype(float), sigma=problem.init_sigma, C=np.eye(5)
         )
         paths = EvolutionPaths.zero(5)
+        w_c, v = np.linalg.eigh(params.C)
         for _ in range(100):
             xs = opt.ask()
             fitness = problem.evaluate_population(xs)
             opt.tell(fitness)
 
-            pop = sample_population(params, sp, mirror_rng)
+            pop = sample_population(params, sp, mirror_rng, sqrt_C=sqrt_from_eigh(w_c, v))
             pop.fitness = problem.evaluate_population(pop.x)
-            dy, dz = rank_and_recombine(pop, sp)
+            best = pop.ranking()[: sp.mu]
+            dy, dz = rank_and_recombine(pop, sp, best)
             paths, h = update_paths(paths, dy, dz, sp)
-            proposed = cma_candidate_update(params, paths, h, dy, pop, sp)
+            proposed = cma_candidate_update(params, paths, h, dy, pop, sp, best)
             plain_cov = proposed.covariance
-            sigma_new, C_new = decompose_sigma(plain_cov)
+            w, v = np.linalg.eigh(plain_cov)
+            sigma_new, C_new = decompose_sigma(plain_cov, w)
+            w_c = w / sigma_new**2
             params = DistributionParams(m=proposed.m, sigma=sigma_new, C=C_new)
 
             assert np.array_equal(opt.mean, params.m)
@@ -480,6 +498,39 @@ class TestOptimizer:
             assert np.array_equal(opt.params.C, params.C)
             # the re-split changes the sigma/C factorization, not Sigma
             assert opt.params.covariance == pytest.approx(plain_cov, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"lr_mode": "fixed", "eta_m": 0.5, "eta_sigma": 0.2},
+            {"lr_mode": "fixed"},
+            {"lr_mode": "plain"},
+        ],
+        ids=["adaptive", "fixed_blend", "fixed_unit", "plain"],
+    )
+    def test_one_eigh_and_one_slogdet_per_tell(self, monkeypatch, kwargs):
+        problem = make_problem("ellipsoid", 6)
+        opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=5, **kwargs)
+        counts = {"eigh": 0, "slogdet": 0}
+
+        def counting(name):
+            fn = getattr(np.linalg, name)
+
+            def wrapper(*args, **kw):
+                counts[name] += 1
+                return fn(*args, **kw)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        for _ in range(30):
+            fitness = problem.evaluate_population(opt.ask())
+            before = dict(counts)
+            stats = opt.tell(fitness)
+            assert {k: counts[k] - before[k] for k in counts} == {"eigh": 1, "slogdet": 1}
+            assert stats.det_c == pytest.approx(np.linalg.det(opt.params.C), rel=1e-12)
 
     def test_eta_sigma_stays_high_on_sphere(self):
         # qualitative noiseless-Sphere behavior: eta_sigma never collapses
@@ -500,6 +551,18 @@ class TestOptimizer:
             assert res.success
             ok += bool(res.history.column("eta_sigma").min() > 0.05)
         assert ok >= 25
+
+    def test_invalid_fitness_raises_before_any_state_change(self):
+        problem = make_problem("sphere", 4)
+        opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=4)
+        run_pairs(opt, problem, 3)
+        params, t, etas = opt.params, opt.t, (opt.eta_m, opt.eta_sigma)
+        fitness = problem.evaluate_population(opt.ask())
+        fitness[1] = np.nan
+        with pytest.raises(InvalidFitnessError):
+            opt.tell(fitness)
+        assert opt.params is params and opt.t == t
+        assert (opt.eta_m, opt.eta_sigma) == etas
 
     def test_fixed_mode_keeps_eta_pinned(self):
         problem = make_problem("sphere", 5)
