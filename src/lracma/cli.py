@@ -465,7 +465,7 @@ def cmd_suite(args) -> int:
     try:
         sc = load_suite_config(args.config)
         configs = expand_configs(sc)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     jobs = args.jobs if args.jobs else (sc.jobs or None)

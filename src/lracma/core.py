@@ -100,19 +100,24 @@ class StrategyParams:
             raise ValueError("c_m and d_sigma must be positive")
 
 
+def default_population_size(d: int) -> int:
+    """The standard population size lambda = 4 + floor(3 ln d)."""
+    return 4 + int(3 * math.log(d))
+
+
 def default_strategy_params(d: int, lam: Optional[int] = None) -> StrategyParams:
     """Standard CMA-ES constants for dimension ``d``.
 
-    ``lam`` defaults to 4 + floor(3 ln d).  Weights are log-rank weights over
-    the better half, normalized to sum 1; the cumulation factors, covariance
-    learning rates, and step-size damping follow the widely used tutorial
-    defaults (spelled out in the README so other implementations can agree
-    constant-for-constant).
+    ``lam`` defaults to :func:`default_population_size`.  Weights are
+    log-rank weights over the better half, normalized to sum 1; the
+    cumulation factors, covariance learning rates, and step-size damping
+    follow the widely used tutorial defaults (spelled out in the README so
+    other implementations can agree constant-for-constant).
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if lam is None:
-        lam = 4 + int(3 * math.log(d))
+        lam = default_population_size(d)
     if lam < 2:
         raise ValueError("population size must be at least 2")
     mu = lam // 2
@@ -171,9 +176,9 @@ class EvaluatedPopulation:
         """Indices sorted by fitness ascending, ties broken by sample index."""
         if self.fitness is None:
             raise ValueError("population has not been evaluated yet")
-        if not np.all(np.isfinite(self.fitness)):
+        if not np.isfinite(self.fitness).all():
             raise InvalidFitnessError("fitness values must be finite")
-        return np.argsort(self.fitness, kind="stable")
+        return self.fitness.argsort(kind="stable")
 
 
 def sample_population(
@@ -189,7 +194,7 @@ def sample_population(
     to round-off only); ``sym_sqrt(params.C)`` when omitted.
     """
     if sqrt_C is None:
-        if not np.all(np.isfinite(params.C)):
+        if not np.isfinite(params.C).all():
             raise NumericalError("nonfinite_state", "covariance has non-finite entries")
         sqrt_C = sym_sqrt(params.C)
     z = rng.standard_normal((sp.lam, sp.d))
@@ -251,7 +256,8 @@ def cma_candidate_update(
     is explicitly symmetrized.
     """
     m_new = params.m + sp.c_m * params.sigma * dy
-    p_norm = float(np.linalg.norm(paths.p_sigma))
+    p_sigma, p_c = paths.p_sigma, paths.p_c
+    p_norm = math.sqrt(float(p_sigma @ p_sigma))
     sigma_new = params.sigma * math.exp(
         min(1.0, (sp.c_sigma / sp.d_sigma) * (p_norm / sp.chi_d - 1.0))
     )
@@ -262,14 +268,14 @@ def cma_candidate_update(
     C = params.C
     C_new = (
         (1 + (1 - h_sigma) * sp.c_1 * sp.c_c * (2 - sp.c_c)) * C
-        + sp.c_1 * (np.outer(paths.p_c, paths.p_c) - C)
+        + sp.c_1 * (p_c[:, None] * p_c - C)
         + sp.c_mu * (rank_mu - C)
     )
     C_new = symmetrize(C_new)
     if (
-        not np.all(np.isfinite(m_new))
+        not np.isfinite(m_new).all()
         or not math.isfinite(sigma_new)
-        or not np.all(np.isfinite(C_new))
+        or not np.isfinite(C_new).all()
     ):
         raise NumericalError("nonfinite_state", "CMA update produced non-finite values")
     return DistributionParams(m=m_new, sigma=sigma_new, C=C_new)

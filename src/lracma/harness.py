@@ -31,6 +31,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import default_population_size
 from .errors import InvalidFitnessError, NumericalError
 from .lra import LraCmaEs, LraHyperParams
 from .problems import Problem
@@ -142,8 +143,13 @@ class TrialConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not self.target_f > 0:
             raise ValueError("target_f must be positive")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be positive")
+        lam = self.population_size
+        if lam is None:
+            lam = default_population_size(self.problem.d)
+        if self.max_evals < lam:
+            raise ValueError(
+                f"max_evals must cover at least one generation ({lam} evaluations)"
+            )
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.history_every < 1:
@@ -187,8 +193,6 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
     rng = np.random.default_rng(cfg.seed)
     opt = _make_optimizer(cfg, rng)
     lam = opt.strategy.lam
-    if cfg.max_evals < lam:
-        raise ValueError("max_evals must cover at least one generation")
 
     history = History()
 

@@ -181,7 +181,7 @@ def apply_blended_update(
     """Scale the parameter deltas by their learning rates and apply them.
 
     Returns ``(m_new, cov_new, (w, v), floored)`` where ``cov_new`` is the
-    full covariance Sigma (symmetrized), ``(w, v)`` its eigendecomposition,
+    full covariance Sigma, ``(w, v)`` its eigendecomposition,
     the generation's only one, and ``floored`` reports whether round-off
     pushed an eigenvalue of the blend below the relative floor and it had to
     be raised.  A Sigma with no positive eigenvalue raises NumericalError
@@ -190,6 +190,13 @@ def apply_blended_update(
     When a component's eta is exactly 1 and ``proposed`` is given, that
     component is taken from ``proposed`` unchanged; a full step then
     reproduces the plain update bit for bit instead of via old + (new - old).
+
+    Precondition: ``old.C`` and ``mat(dp.delta_sigma)`` are exactly
+    symmetric, so the blend old + eta * delta is exactly symmetric and is
+    not symmetrized again.  Every state of :class:`LraCmaEs` satisfies it:
+    the constructor rejects an asymmetric initial C,
+    :func:`cma_candidate_update` symmetrizes its proposal, and the re-split
+    only divides by a scalar.
     """
     d = old.d
     if eta_m == 1.0 and proposed is not None:
@@ -200,7 +207,7 @@ def apply_blended_update(
     if full_step:
         cov_new = proposed.covariance
     else:
-        cov_new = symmetrize(old.covariance + eta_sigma * dp.delta_sigma.reshape(d, d))
+        cov_new = old.covariance + eta_sigma * dp.delta_sigma.reshape(d, d)
     w, v = eigh_or_raise(cov_new)
     if w[-1] <= 0:
         raise NumericalError(
@@ -221,7 +228,8 @@ def apply_blended_update(
 def decompose_sigma(cov: np.ndarray, w: np.ndarray):
     """Split a full covariance into (sigma, C) with det(C) = 1.
 
-    ``w`` holds the eigenvalues of ``cov``.  sigma = det(Sigma)^(1/(2d)),
+    ``w`` holds the eigenvalues of ``cov`` in ascending order, as
+    ``numpy.linalg.eigh`` returns them.  sigma = det(Sigma)^(1/(2d)),
     taken as exp(sum(log w) / (2d)), and C = Sigma / sigma^2, whose
     eigenvalues are then w / sigma^2.
 
@@ -230,9 +238,9 @@ def decompose_sigma(cov: np.ndarray, w: np.ndarray):
             eigenvalue is not positive or the determinant is not finite.
     """
     d = cov.shape[0]
-    logdet = float(np.log(w).sum()) if w.min() > 0 else math.nan
+    logdet = float(np.add.reduce(np.log(w))) if w[0] > 0 else math.nan
     if not math.isfinite(logdet):
-        raise NumericalError("nonpositive_determinant", f"min eigenvalue {w.min():.3e}")
+        raise NumericalError("nonpositive_determinant", f"min eigenvalue {w[0]:.3e}")
     sigma = math.exp(logdet / (2 * d))
     return sigma, cov / sigma**2
 
@@ -283,7 +291,12 @@ class LraCmaEs:
     Args:
         mean: Initial mean vector (defines the dimension).
         sigma: Initial step-size, positive.
-        cov: Initial shape matrix C; identity by default.
+        cov: Initial shape matrix C; identity by default.  It must be a
+            finite d x d matrix, exactly symmetric (``cov == cov.T``
+            elementwise: the update keeps C symmetric by construction and
+            never symmetrizes it again), and positive definite with every
+            eigenvalue of sigma^2 C above ``EIG_FLOOR``; ``ValueError``
+            otherwise.
         population_size: Candidates per generation; 4 + floor(3 ln d) by
             default.
         strategy: Full strategy constants, overriding ``population_size``.
@@ -324,6 +337,10 @@ class LraCmaEs:
             cov = np.eye(d)
         else:
             cov = np.array(cov, dtype=float)
+            if cov.shape != (d, d) or not np.isfinite(cov).all():
+                raise ValueError(f"cov must be a finite {d} x {d} matrix")
+            if not np.array_equal(cov, cov.T):
+                raise ValueError("cov must be exactly symmetric")
         if lr_mode not in ("adaptive", "fixed", "plain"):
             raise ValueError(f"unknown lr_mode {lr_mode!r}")
         if lr_mode == "plain" and (eta_m != 1.0 or eta_sigma != 1.0):
@@ -348,7 +365,14 @@ class LraCmaEs:
         self._state_sigma = LraComponentState(eta=eta_sigma, E=np.zeros(d * d), V=0.0)
         self._pending: Optional[EvaluatedPopulation] = None
         self._floor_count = 0
-        self._refresh_cov_cache(*eigh_or_raise(self._params.C))
+        w, v = eigh_or_raise(self._params.C)
+        eig_min = self._params.sigma**2 * w[0]
+        if not eig_min > EIG_FLOOR:
+            raise ValueError(
+                f"sigma^2 * cov must be positive definite: smallest eigenvalue "
+                f"{eig_min:.3e} is not above {EIG_FLOOR:.0e}"
+            )
+        self._refresh_cov_cache(w, v)
 
     # -- read-only views -------------------------------------------------
 
@@ -454,7 +478,7 @@ class LraCmaEs:
             w_c = w / sigma_new**2
             if self._lr_mode == "adaptive":
                 sigma_new = correct_step_size(sigma_new, eta_m_old, eta_m)
-            if not np.all(np.isfinite(m_new)) or not math.isfinite(sigma_new):
+            if not np.isfinite(m_new).all() or not math.isfinite(sigma_new):
                 raise NumericalError(
                     "nonfinite_state", "blended update produced non-finite values"
                 )

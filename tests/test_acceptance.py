@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The expensive trial
 batches are shared through module-scoped fixtures; everything is seeded, so
-repeated runs reproduce the same numbers bit for bit.
+repeated runs reproduce the same numbers bit for bit.  Every test here
+carries the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the
+rest of the suite alone.
 """
 
 import time
@@ -34,6 +36,8 @@ from lracma.lra import (
     update_snr_state,
 )
 from lracma.problems import make_problem
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = range(20)
 NOISY_SEEDS = range(10)

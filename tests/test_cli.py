@@ -150,6 +150,24 @@ class TestRunCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_budget_below_one_generation_is_usage_error(self, tmp_path, capsys):
+        # lambda = 10 at d = 10, so 5 evaluations cannot run a generation
+        code = main(
+            [
+                "run",
+                "--problem",
+                "sphere",
+                "--dim",
+                "10",
+                "--max-evals",
+                "5",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "one generation" in capsys.readouterr().err
+
 
 class TestConfigLoading:
     def test_minimal_config_expands(self, tmp_path):
@@ -189,6 +207,16 @@ class TestConfigLoading:
     def test_config_errors_exit_2_via_cli(self, tmp_path):
         bad = write_config(tmp_path, MINIMAL + "\nbogus: 1\n")
         assert main(["suite", bad, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    def test_suite_budget_below_one_generation_exits_2(self, tmp_path, capsys):
+        # lambda = 8 at d = 5: the budget check fires while expanding the
+        # grid, before any trial runs or any output is written
+        bad = write_config(tmp_path, MINIMAL.replace("max_evals: 20000", "max_evals: 5"))
+        with pytest.raises(ValueError, match="one generation"):
+            expand_configs(load_suite_config(bad))
+        assert main(["suite", bad, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_shipped_presets_parse(self):
         for preset in (

@@ -403,21 +403,30 @@ class TestOptimizer:
         with pytest.raises(RuntimeError):
             opt.ask()
 
-    def test_one_step_matches_manual_op_composition(self):
-        # the adaptive tell() is exactly the documented chain of operations,
-        # threading one eigendecomposition of the blended Sigma per generation
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"lr_mode": "fixed", "eta_m": 0.5, "eta_sigma": 0.2}],
+        ids=["adaptive", "fixed_blend"],
+    )
+    def test_one_step_matches_manual_op_composition(self, kwargs):
+        # tell() is exactly the documented chain of operations, threading one
+        # eigendecomposition of the blended Sigma per generation; fixed eta
+        # skips the SNR layer and the step-size correction
         problem = make_problem("ellipsoid", 4)
         hp = LraHyperParams()
-        opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=21)
+        opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=21, **kwargs)
         sp = opt.strategy
+        adaptive = not kwargs
 
         mirror_rng = np.random.default_rng(21)
         params = DistributionParams(
             m=problem.init_m.astype(float), sigma=problem.init_sigma, C=np.eye(4)
         )
         paths = EvolutionPaths.zero(4)
-        state_m = LraComponentState.initial(4)
-        state_s = LraComponentState.initial(16)
+        state_m = LraComponentState(eta=kwargs.get("eta_m", 1.0), E=np.zeros(4), V=0.0)
+        state_s = LraComponentState(
+            eta=kwargs.get("eta_sigma", 1.0), E=np.zeros(16), V=0.0
+        )
         w_c, v = np.linalg.eigh(params.C)
 
         for _ in range(10):
@@ -433,22 +442,27 @@ class TestOptimizer:
             paths, h = update_paths(paths, dy, dz, sp)
             proposed = cma_candidate_update(params, paths, h, dy, pop, sp, best)
             dp = compute_deltas(params, proposed)
-            tm, ts = to_local_coordinates(dp, params.sigma**2 * w_c, v)
-            state_m = update_snr_state(state_m, tm, hp.beta_m)
-            state_s = update_snr_state(state_s, ts, hp.beta_sigma)
-            eta_m_old = state_m.eta
-            eta_m = adapt_learning_rate(eta_m_old, estimate_snr(state_m, hp.beta_m), hp, hp.beta_m)
-            eta_s = adapt_learning_rate(
-                state_s.eta, estimate_snr(state_s, hp.beta_sigma), hp, hp.beta_sigma
-            )
-            state_m = LraComponentState(eta=eta_m, E=state_m.E, V=state_m.V)
-            state_s = LraComponentState(eta=eta_s, E=state_s.E, V=state_s.V)
+            eta_m_old = eta_m = state_m.eta
+            eta_s = state_s.eta
+            if adaptive:
+                tm, ts = to_local_coordinates(dp, params.sigma**2 * w_c, v)
+                state_m = update_snr_state(state_m, tm, hp.beta_m)
+                state_s = update_snr_state(state_s, ts, hp.beta_sigma)
+                eta_m = adapt_learning_rate(
+                    eta_m_old, estimate_snr(state_m, hp.beta_m), hp, hp.beta_m
+                )
+                eta_s = adapt_learning_rate(
+                    eta_s, estimate_snr(state_s, hp.beta_sigma), hp, hp.beta_sigma
+                )
+                state_m = LraComponentState(eta=eta_m, E=state_m.E, V=state_m.V)
+                state_s = LraComponentState(eta=eta_s, E=state_s.E, V=state_s.V)
             m_new, cov_new, (w, v), _ = apply_blended_update(
                 params, dp, eta_m, eta_s, proposed
             )
             sigma_new, C_new = decompose_sigma(cov_new, w)
             w_c = w / sigma_new**2
-            sigma_new = correct_step_size(sigma_new, eta_m_old, eta_m)
+            if adaptive:
+                sigma_new = correct_step_size(sigma_new, eta_m_old, eta_m)
             params = DistributionParams(m=m_new, sigma=sigma_new, C=C_new)
 
             assert np.array_equal(opt.mean, params.m)
@@ -589,3 +603,20 @@ class TestOptimizer:
             LraCmaEs(np.zeros(3), 1.0, seed=1, rng=np.random.default_rng(1))
         with pytest.raises(ValueError):
             LraCmaEs(np.zeros(3), 1.0, strategy=default_strategy_params(4))
+        # cov must be finite, 3 x 3, exactly symmetric and positive definite
+        # above the eigenvalue floor once scaled by sigma^2
+        for cov, sigma, match in (
+            (np.eye(2), 1.0, "finite 3 x 3"),
+            (np.diag([1.0, np.nan, 1.0]), 1.0, "finite 3 x 3"),
+            (np.diag([1.0, np.inf, 1.0]), 1.0, "finite 3 x 3"),
+            (np.eye(3) + np.triu(np.full((3, 3), 0.1), 1), 1.0, "symmetric"),
+            (np.diag([1.0, -1.0, 1.0]), 1.0, "positive definite"),
+            (np.diag([1.0, 0.0, 1.0]), 1.0, "positive definite"),
+            (np.eye(3), 1e-11, "positive definite"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                LraCmaEs(np.zeros(3), sigma, cov=cov)
+        cov = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 3.0]])
+        opt = LraCmaEs(np.zeros(3), 0.5, cov=cov, seed=0)
+        assert np.array_equal(opt.params.C, cov)
+        run_pairs(opt, make_problem("sphere", 3), 5)
