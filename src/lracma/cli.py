@@ -1,8 +1,9 @@
 """Command-line front end: single runs, suites, and hyperparameter sweeps.
 
 Commands:
-    run    one or more trials of a single (problem, optimizer) setting, with
-           live per-generation logging and a history CSV per trial.
+    run    a suite of one grid entry: one or more trials of a single
+           (problem, optimizer) setting, with a history CSV per trial and
+           live per-generation logging when it runs one trial.
     suite  a grid of trials described by a YAML config; writes results.csv,
            summary.csv, optional per-trial histories and ECDF curves, and a
            manifest.json echoing the configuration.
@@ -10,9 +11,12 @@ Commands:
            beta_m, beta_sigma, or gamma); per-point outputs live in
            subdirectories and a combined CSV is keyed by the swept value.
 
-All outputs are byte-identical across reruns with the same inputs: no
-timestamps, floats via repr, deterministic ordering.  The default output
-directory is $LRACMA_OUT or ./lracma_out.
+All three go through expand_configs, run_suite and write_suite_outputs; a
+single-trial run calls run_trial itself, for its live log.  The output
+directory ($LRACMA_OUT or ./lracma_out by default) is created after the
+configuration is validated and before any trial runs.  All outputs are
+byte-identical across reruns with the same inputs: no timestamps, floats via
+repr, deterministic ordering.
 
 Exit codes: 0 target hit (all trials, for multi-trial runs), 1 budget
 exhausted, 3 numerical error, 2 usage or config errors.
@@ -41,9 +45,11 @@ from .harness import (
     TrialResult,
     derive_trial_seed,
     ecdf_from_results,
+    group_trials,
     optimizer_label,
     run_suite,
     run_trial,
+    success_rate,
     summarize,
     write_ecdf_csv,
     write_history_csv,
@@ -61,7 +67,7 @@ EXIT_NUMERICAL = 3
 SWEEP_AXES = ("alpha", "beta_m", "beta_sigma", "gamma")
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field."""
 
 
@@ -250,6 +256,10 @@ def load_suite_config(path) -> SuiteConfig:
         sweep_values = [
             _as_float(v, "sweep.values") for v in _as_list(sweep.get("values"), "sweep.values")
         ]
+        # each point writes its outputs into f"{axis}={value:g}"
+        shown = [f"{v:g}" for v in sweep_values]
+        if len(set(shown)) < len(shown):
+            raise ConfigError(f"sweep.values: values repeat or print alike: {shown}")
 
     return SuiteConfig(
         name=name,
@@ -268,8 +278,14 @@ def load_suite_config(path) -> SuiteConfig:
 
 
 def expand_configs(sc: SuiteConfig) -> List[TrialConfig]:
-    """Deterministic grid expansion; per-trial seeds derive from the key."""
+    """Deterministic grid expansion; per-trial seeds derive from the key.
+
+    Two settings with the same file tag, exact repeats or values that print
+    alike, would write to the same file names (and with repeated labels
+    share seeds and a summary row), so they are rejected.
+    """
     configs = []
+    tags = set()
     for entry in sc.grid:
         for name, d, noise, opt in itertools.product(
             entry.problems, entry.dims, entry.noise_vars, entry.optimizers
@@ -292,6 +308,10 @@ def expand_configs(sc: SuiteConfig) -> List[TrialConfig]:
                     history_every=max(sc.history_every, 1),
                 )
                 label = optimizer_label(base)
+                tag = _group_tag((name, d, noise, label))
+                if tag in tags:
+                    raise ValueError(f"grid: settings repeat or print alike ({tag})")
+                tags.add(tag)
                 for k in range(sc.trials):
                     configs.append(
                         replace(
@@ -306,21 +326,20 @@ def expand_configs(sc: SuiteConfig) -> List[TrialConfig]:
 
 # -- output helpers ---------------------------------------------------------
 
-def _default_out() -> str:
-    return os.environ.get("LRACMA_OUT", "lracma_out")
-
-
-def _group_tag(cfg: TrialConfig) -> str:
-    p = cfg.problem
-    return f"{p.name}_d{p.d}_n{p.noise_variance:g}__{optimizer_label(cfg)}"
+def _group_tag(key) -> str:
+    """File tag of a (problem, d, noise, optimizer label) group."""
+    name, d, noise, label = key
+    return f"{name}_d{d}_n{noise:g}__{label}"
 
 
 def write_suite_outputs(
     out: Path, sc: SuiteConfig, configs: Sequence[TrialConfig], results: Sequence[TrialResult]
-) -> None:
+) -> List[dict]:
+    """Write the artifact set of one suite into ``out``; return its summary rows."""
     out.mkdir(parents=True, exist_ok=True)
+    rows = summarize(configs, results)
     write_results_csv(out / "results.csv", configs, results)
-    write_summary_csv(out / "summary.csv", summarize(configs, results))
+    write_summary_csv(out / "summary.csv", rows)
     manifest = {
         "package": "lracma",
         "version": __version__,
@@ -340,26 +359,17 @@ def write_suite_outputs(
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if sc.history_every >= 1:
-        counters: dict = {}
-        for cfg, res in zip(configs, results):
-            tag = _group_tag(cfg)
-            k = counters.get(tag, 0)
-            counters[tag] = k + 1
-            write_history_csv(out / f"history__{tag}__t{k}_s{cfg.seed}.csv", res.history)
-
-    if sc.ecdf_targets >= 2:
-        groups: dict = {}
-        order = []
-        for cfg, res in zip(configs, results):
-            tag = _group_tag(cfg)
-            if tag not in groups:
-                groups[tag] = []
-                order.append(tag)
-            groups[tag].append(res)
-        for tag in order:
-            spec = EcdfSpec(n_targets=sc.ecdf_targets)
-            write_ecdf_csv(out / f"ecdf__{tag}.csv", ecdf_from_results(groups[tag], spec))
+    for key, trials in group_trials(configs, results).items():
+        tag = _group_tag(key)
+        if sc.history_every >= 1:
+            for k, (cfg, res) in enumerate(trials):
+                write_history_csv(out / f"history__{tag}__t{k}_s{cfg.seed}.csv", res.history)
+        if sc.ecdf_targets >= 2:
+            curve = ecdf_from_results(
+                [res for _, res in trials], EcdfSpec(n_targets=sc.ecdf_targets)
+            )
+            write_ecdf_csv(out / f"ecdf__{tag}.csv", curve)
+    return rows
 
 
 # -- commands ---------------------------------------------------------------
@@ -379,52 +389,44 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
-    p.add_argument("--out", default=None, help="output directory (default $LRACMA_OUT)")
     p.add_argument("--history-every", type=int, default=1)
     p.add_argument("--log-every", type=int, default=1, help="0 silences progress lines")
 
 
 def cmd_run(args) -> int:
     try:
-        problem = make_problem(args.problem, args.dim, args.noise_var)
+        if args.trials < 1:
+            raise ValueError("--trials must be at least 1")
+        if args.seed < 0:
+            raise ValueError("seed must be nonnegative")
         hyper = LraHyperParams(
-            alpha=args.alpha,
-            beta_m=args.beta_m,
-            beta_sigma=args.beta_sigma,
-            gamma=args.gamma,
+            alpha=args.alpha, beta_m=args.beta_m, beta_sigma=args.beta_sigma, gamma=args.gamma
         )
-        base = TrialConfig(
-            problem=problem,
-            optimizer=args.optimizer,
-            eta_m=args.eta_m,
-            eta_sigma=args.eta_sigma,
+        entry = GridEntry(
+            [args.problem], [args.dim], [args.noise_var], [args.optimizer],
+            [args.eta_m], [args.eta_sigma],
+        )
+        sc = SuiteConfig(
+            name="run",
+            trials=args.trials,
+            base_seed=args.seed,
             max_evals=args.max_evals,
-            target_f=args.target,
-            seed=args.seed,
+            target=args.target,
+            grid=[entry],
             hyper=hyper,
             history_every=max(args.history_every, 1),
         )
-    except ValueError as exc:
+        configs = expand_configs(sc)
+        if args.trials == 1:
+            # A single trial takes --seed as its own seed, so that
+            # `run --seed S` replays the suite trial results.csv lists with
+            # seed S.  Several trials derive theirs from it like a suite.
+            configs = [replace(configs[0], seed=args.seed)]
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    out = Path(args.out if args.out is not None else _default_out())
-    out.mkdir(parents=True, exist_ok=True)
-
-    if args.trials <= 1:
-        configs = [base]
-    else:
-        label = optimizer_label(base)
-        configs = [
-            replace(
-                base,
-                seed=derive_trial_seed(
-                    args.seed, problem.name, problem.d, problem.noise_variance, label, k
-                ),
-            )
-            for k in range(args.trials)
-        ]
 
     if len(configs) == 1:
         def log(stats, f_m):
@@ -438,20 +440,17 @@ def cmd_run(args) -> int:
         results = [run_trial(configs[0], on_iteration=log)]
     else:
         results = run_suite(configs, jobs=args.jobs or None)
+    write_suite_outputs(out, sc, configs, results)
 
-    for i, (cfg, res) in enumerate(zip(configs, results)):
-        tag = _group_tag(cfg)
-        write_history_csv(out / f"history__{tag}__t{i}_s{cfg.seed}.csv", res.history)
+    for i, res in enumerate(results):
         extra = f" ({res.reason})" if res.reason else ""
         print(
             f"trial {i}: {res.termination}{extra} evals={res.evals} "
             f"best f(m)={res.best_noiseless_fm:.6e}"
         )
-
     if len(results) > 1:
-        write_results_csv(out / "results.csv", configs, results)
-        rate = sum(r.success for r in results) / len(results)
-        print(f"success rate: {rate:.3f} ({sum(r.success for r in results)}/{len(results)})")
+        hits = sum(r.success for r in results)
+        print(f"success rate: {success_rate(results):.3f} ({hits}/{len(results)})")
 
     terminations = {r.termination for r in results}
     if terminations == {TERM_TARGET}:
@@ -465,12 +464,12 @@ def cmd_suite(args) -> int:
     try:
         sc = load_suite_config(args.config)
         configs = expand_configs(sc)
-    except (ConfigError, ValueError) as exc:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    jobs = args.jobs if args.jobs else (sc.jobs or None)
-    out = Path(args.out if args.out is not None else _default_out())
-    results = run_suite(configs, jobs=jobs)
+    results = run_suite(configs, jobs=args.jobs or sc.jobs or None)
     write_suite_outputs(out, sc, configs, results)
     print(f"suite '{sc.name}': {len(results)} trials -> {out}")
     return 0
@@ -481,35 +480,25 @@ def cmd_sweep(args) -> int:
         sc = load_suite_config(args.config)
         if sc.sweep_axis is None:
             raise ConfigError("sweep: a 'sweep' section with axis and values is required")
-        point_configs = []
+        points = []
         for value in sc.sweep_values:
-            hyper = replace(sc.hyper, **{sc.sweep_axis: value})
-            point_configs.append((value, replace(sc, hyper=hyper)))
-        expansions = [(value, pc, expand_configs(pc)) for value, pc in point_configs]
-    except (ConfigError, ValueError) as exc:
+            pc = replace(sc, hyper=replace(sc.hyper, **{sc.sweep_axis: value}))
+            points.append((value, pc, expand_configs(pc)))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    jobs = args.jobs if args.jobs else (sc.jobs or None)
-    out = Path(args.out if args.out is not None else _default_out())
     combined = []
-    for value, pc, configs in expansions:
-        results = run_suite(configs, jobs=jobs)
+    for value, pc, configs in points:
+        results = run_suite(configs, jobs=args.jobs or sc.jobs or None)
         sub = out / f"{sc.sweep_axis}={value:g}"
-        write_suite_outputs(sub, pc, configs, results)
-        for row in summarize(configs, results):
-            combined.append({sc.sweep_axis: value, **row})
+        rows = write_suite_outputs(sub, pc, configs, results)
+        combined += [{sc.sweep_axis: value, **row} for row in rows]
         print(f"sweep point {sc.sweep_axis}={value:g}: {len(results)} trials -> {sub}")
-
-    header = [sc.sweep_axis] + [k for k in combined[0] if k != sc.sweep_axis]
-    from .harness import _write_csv  # same formatting as the other tables
-
-    _write_csv(
-        out / "sweep_summary.csv",
-        header,
-        ([row[k] for k in header] for row in combined),
-    )
-    print(f"sweep '{sc.name}': {len(expansions)} points -> {out}")
+    write_summary_csv(out / "sweep_summary.csv", combined)
+    print(f"sweep '{sc.name}': {len(points)} points -> {out}")
     return 0
 
 
@@ -519,21 +508,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="CMA-ES with learning-rate adaptation: runs, suites, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    out_default = os.environ.get("LRACMA_OUT", "lracma_out")
+    common.add_argument("--out", default=out_default, help="output directory (%(default)s)")
+    common.add_argument(
+        "--jobs", type=int, default=0, help="worker processes (0 = suite.jobs, else all cores)"
+    )
 
-    p_run = sub.add_parser("run", help="run one setting (one or more seeded trials)")
+    p_run = sub.add_parser(
+        "run", parents=[common], help="run one setting (one or more seeded trials)"
+    )
     _add_run_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_suite = sub.add_parser("suite", help="run a YAML-configured grid of trials")
+    p_suite = sub.add_parser("suite", parents=[common], help="run a YAML-configured grid of trials")
     p_suite.add_argument("config", help="path to the suite YAML file")
-    p_suite.add_argument("--out", default=None)
-    p_suite.add_argument("--jobs", type=int, default=0)
     p_suite.set_defaults(func=cmd_suite)
 
-    p_sweep = sub.add_parser("sweep", help="run one suite per hyperparameter value")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[common], help="run one suite per hyperparameter value"
+    )
     p_sweep.add_argument("config", help="path to the sweep YAML file")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=0)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

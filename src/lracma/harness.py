@@ -27,7 +27,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,6 +143,10 @@ class TrialConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not self.target_f > 0:
             raise ValueError("target_f must be positive")
+        if self.optimizer == "fixed":
+            for name in ("eta_m", "eta_sigma"):
+                if not 0 < getattr(self, name) <= 1:
+                    raise ValueError(f"{name} must lie in (0, 1]")
         lam = self.population_size
         if lam is None:
             lam = default_population_size(self.problem.d)
@@ -387,22 +391,25 @@ def run_suite(configs: Sequence[TrialConfig], jobs: Optional[int] = None) -> Lis
         return list(pool.map(run_trial, configs, chunksize=1))
 
 
+def group_trials(
+    configs: Sequence[TrialConfig], results: Sequence[TrialResult]
+) -> Dict[tuple, List[Tuple[TrialConfig, TrialResult]]]:
+    """(config, result) pairs per (problem, d, noise, optimizer label), in first-seen order."""
+    groups: Dict[tuple, List[Tuple[TrialConfig, TrialResult]]] = {}
+    for cfg, res in zip(configs, results):
+        p = cfg.problem
+        key = (p.name, p.d, p.noise_variance, optimizer_label(cfg))
+        groups.setdefault(key, []).append((cfg, res))
+    return groups
+
+
 def summarize(
     configs: Sequence[TrialConfig], results: Sequence[TrialResult]
 ) -> List[dict]:
-    """Aggregate per (problem, d, noise, optimizer) group, in first-seen order."""
-    groups: dict = {}
-    order = []
-    for cfg, res in zip(configs, results):
-        key = (cfg.problem.name, cfg.problem.d, cfg.problem.noise_variance, optimizer_label(cfg))
-        if key not in groups:
-            groups[key] = ([], cfg)
-            order.append(key)
-        groups[key][0].append(res)
+    """One row per group of ``group_trials``, in its order."""
     rows = []
-    for key in order:
-        res_list, cfg = groups[key]
-        name, d, noise, label = key
+    for (name, d, noise, label), trials in group_trials(configs, results).items():
+        res_list = [res for _, res in trials]
         rows.append(
             {
                 "problem": name,
@@ -460,16 +467,8 @@ def write_results_csv(path, configs, results) -> None:
 
 
 def write_summary_csv(path, rows: Sequence[dict]) -> None:
-    header = (
-        "problem",
-        "d",
-        "noise_variance",
-        "optimizer",
-        "n_trials",
-        "success_rate",
-        "sp1",
-        "median_best_f",
-    )
+    """Rows share their keys; the first row's key order is the header."""
+    header = list(rows[0])
     _write_csv(path, header, ([row[k] for k in header] for row in rows))
 
 

@@ -168,6 +168,53 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "one generation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--optimizer", "fixed", "--eta-m", "0"],
+            ["--optimizer", "fixed", "--eta-sigma", "2"],
+            ["--trials", "0"],
+            ["--trials", "-3"],
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, flags):
+        out = tmp_path / "o"
+        code = main(["run", "--problem", "sphere", "--dim", "5", "--out", str(out), *flags])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+
+class TestOnePath:
+    """run is a one-entry suite: same trials, same files."""
+
+    RUN = ["run", "--problem", "sphere", "--dim", "5", "--max-evals", "20000",
+           "--target", "1e-6", "--log-every", "0", "--jobs", "1"]
+
+    def test_multi_trial_run_writes_the_suite_artifacts(self, tmp_path):
+        text = MINIMAL.replace("trials: 2", "trials: 3").replace(
+            "  max_evals: 20000", "  max_evals: 20000\n  history_every: 1"
+        )
+        suite_out, run_out = tmp_path / "suite", tmp_path / "run"
+        assert main(["suite", write_config(tmp_path, text), "--out", str(suite_out)]) == 0
+        argv = self.RUN + ["--trials", "3", "--seed", "1", "--out", str(run_out)]
+        assert main(argv) == EXIT_TARGET
+        names = sorted(p.name for p in suite_out.glob("*.csv"))
+        assert len(names) == 5  # results, summary, 3 histories
+        assert names == sorted(p.name for p in run_out.glob("*.csv"))
+        for name in names:
+            assert (run_out / name).read_bytes() == (suite_out / name).read_bytes()
+
+    def test_single_run_replays_the_suite_trial_with_its_seed(self, tmp_path):
+        text = MINIMAL.replace("  max_evals: 20000", "  max_evals: 20000\n  history_every: 1")
+        suite_out, run_out = tmp_path / "suite", tmp_path / "run"
+        assert main(["suite", write_config(tmp_path, text), "--out", str(suite_out)]) == 0
+        seed = (suite_out / "results.csv").read_text().splitlines()[2].split(",")[6]
+        assert main(self.RUN + ["--seed", seed, "--out", str(run_out)]) == EXIT_TARGET
+        history = f"history__sphere_d5_n0__lra__t{{}}_s{seed}.csv"
+        assert (run_out / history.format(0)).read_bytes() == (
+            suite_out / history.format(1)
+        ).read_bytes()
+
 
 class TestConfigLoading:
     def test_minimal_config_expands(self, tmp_path):
@@ -204,9 +251,44 @@ class TestConfigLoading:
         # lra + fixed(1,1) + fixed(0.1,1), each with 2 trials
         assert len(configs) == 6
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "optimizers: [fixed]\n    eta_m: [0.1, 0.1000001]",
+            "optimizers: [lra]\n  - problems: [sphere]\n    dims: [5]",
+        ],
+        ids=["print-alike", "exact-repeat"],
+    )
+    def test_settings_that_print_alike_are_rejected(self, tmp_path, grid):
+        text = MINIMAL.replace("optimizers: [lra]", grid)
+        sc = load_suite_config(write_config(tmp_path, text))
+        with pytest.raises(ValueError, match="repeat or print alike"):
+            expand_configs(sc)
+
     def test_config_errors_exit_2_via_cli(self, tmp_path):
         bad = write_config(tmp_path, MINIMAL + "\nbogus: 1\n")
         assert main(["suite", bad, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    def test_out_of_range_eta_exits_2(self, tmp_path):
+        bad = MINIMAL.replace("optimizers: [lra]", "optimizers: [fixed]\n    eta_m: [1.5]")
+        cfg = write_config(tmp_path, bad)
+        assert main(["suite", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "suite", "sweep"])
+    def test_unusable_out_exits_2_before_any_trial(self, tmp_path, monkeypatch, command):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("lracma.cli.run_trial", no_trials)
+        monkeypatch.setattr("lracma.cli.run_suite", no_trials)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        if command == "run":
+            argv = ["run", "--problem", "sphere", "--dim", "5"]
+        else:
+            argv = [command, write_config(tmp_path, SWEEP)]
+        assert main(argv + ["--out", out]) == EXIT_USAGE
 
     def test_suite_budget_below_one_generation_exits_2(self, tmp_path, capsys):
         # lambda = 8 at d = 5: the budget check fires while expanding the
@@ -309,6 +391,11 @@ class TestSweepCommand:
         bad = SWEEP.replace("axis: alpha", "axis: lambda")
         cfg = write_config(tmp_path, bad)
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    def test_sweep_values_that_print_alike_rejected(self, tmp_path):
+        bad = SWEEP.replace("values: [1.4]", "values: [1.4, 1.4000001]")
+        with pytest.raises(ConfigError, match="print alike"):
+            load_suite_config(write_config(tmp_path, bad))
 
     def test_multi_point_sweep_keys_rows_by_value(self, tmp_path):
         text = SWEEP.replace("values: [1.4]", "values: [1.0, 2.0]")

@@ -140,6 +140,8 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             TrialConfig(problem=problem, target_f=0.0)
         with pytest.raises(ValueError):
+            TrialConfig(problem=problem, optimizer="fixed", eta_m=0.0)
+        with pytest.raises(ValueError):
             run_trial(TrialConfig(problem=problem, max_evals=5))  # below lambda
 
     def test_overflowing_objective_is_a_numerical_stop(self):
