@@ -7,9 +7,16 @@ Commands:
     suite  a grid of trials described by a YAML config; writes results.csv,
            summary.csv, optional per-trial histories and ECDF curves, and a
            manifest.json echoing the configuration.
-    sweep  one suite per value of a single hyperparameter axis (alpha,
-           beta_m, beta_sigma, or gamma); per-point outputs live in
-           subdirectories and a combined CSV is keyed by the swept value.
+    sweep  one suite per value of a single hyperparameter axis (a field of
+           LraHyperParams); per-point outputs live in subdirectories and a
+           combined CSV is keyed by the swept value.
+
+Each setting has one owner.  The YAML keys and their defaults are the fields
+of SuiteConfig (section ``suite``, parsed by SUITE_KEYS), GridEntry (each
+``grid`` block, GRID_KEYS) and LraHyperParams (``hyperparams``, the sweep
+axes and the run flags --alpha, --beta-m, --beta-sigma, --gamma).  Every
+number must be finite, and the numeric run flags are read by the same
+parsers as the YAML keys, so --max-evals must be an integer as in YAML.
 
 All three go through expand_configs, run_suite and write_suite_outputs; a
 single-trial run calls run_trial itself, for its live log.  The output
@@ -27,11 +34,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import yaml
 
@@ -64,7 +72,9 @@ EXIT_BUDGET = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-SWEEP_AXES = ("alpha", "beta_m", "beta_sigma", "gamma")
+OPTIMIZERS = ("lra", "fixed")
+# every LraHyperParams field is a YAML hyperparameter, a sweep axis and a run flag
+SWEEP_AXES = tuple(f.name for f in fields(LraHyperParams))
 
 
 class ConfigError(ValueError):
@@ -75,23 +85,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridEntry:
-    problems: List[str]
-    dims: List[int]
-    noise_vars: List[float] = field(default_factory=lambda: [0.0])
-    optimizers: List[str] = field(default_factory=lambda: ["lra"])
-    eta_m: List[float] = field(default_factory=lambda: [1.0])
-    eta_sigma: List[float] = field(default_factory=lambda: [1.0])
+    """One ``grid`` block; the field defaults are the YAML defaults."""
+
+    problems: Sequence[str]
+    dims: Sequence[int]
+    noise_vars: Sequence[float] = (0.0,)
+    optimizers: Sequence[str] = ("lra",)
+    eta_m: Sequence[float] = (1.0,)
+    eta_sigma: Sequence[float] = (1.0,)
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    name: str
-    trials: int
-    base_seed: int
-    max_evals: int
-    target: float
-    grid: List[GridEntry]
-    hyper: LraHyperParams
+    """A suite; the defaults of the fields in SUITE_KEYS are the YAML defaults."""
+
+    grid: Sequence[GridEntry]
+    hyper: LraHyperParams = LraHyperParams()
+    name: str = "suite"
+    trials: int = 20
+    base_seed: int = 1
+    max_evals: int = 1_000_000
+    target: float = 1e-8
     jobs: int = 0
     history_every: int = 0
     ecdf_targets: int = 0
@@ -105,7 +119,7 @@ def _expect_mapping(node, path: str) -> dict:
     return node
 
 
-def _check_keys(node: dict, allowed: Sequence[str], path: str) -> None:
+def _check_keys(node: dict, allowed: Iterable[str], path: str) -> None:
     unknown = set(node) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
@@ -114,14 +128,19 @@ def _check_keys(node: dict, allowed: Sequence[str], path: str) -> None:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or value is None:
         raise ConfigError(f"{path}: expected a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    out = None
+    if isinstance(value, (int, float, str)):
         try:
-            return float(value)
+            out = float(value)
+        except OverflowError:  # an int beyond the float range
+            out = math.inf
         except ValueError:
             pass
-    raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if out is None:
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(out):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return out
 
 
 def _as_int(value, path: str) -> int:
@@ -131,10 +150,68 @@ def _as_int(value, path: str) -> int:
     return int(out)
 
 
+def _as_name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a nonempty string")
+    return value
+
+
+def _one_of(choices, message: str):
+    """Parser of a name in ``choices``; ``message`` formats a rejected name."""
+
+    def parse(value, path: str) -> str:
+        name = str(value)
+        if name not in choices:
+            raise ConfigError(f"{path}: {message.format(name)}")
+        return name
+
+    return parse
+
+
 def _as_list(value, path: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list")
     return value
+
+
+def _list_of(parse):
+    """Parser of a nonempty list whose elements ``parse`` reads."""
+    return lambda value, path: [parse(v, path) for v in _as_list(value, path)]
+
+
+SUITE_KEYS = {
+    "name": _as_name,
+    "trials": _as_int,
+    "base_seed": _as_int,
+    "max_evals": _as_int,
+    "target": _as_float,
+    "jobs": _as_int,
+    "history_every": _as_int,
+    "ecdf_targets": _as_int,
+}
+GRID_KEYS = {
+    "problems": _list_of(_one_of(PROBLEM_NAMES, "unknown problem {!r}")),
+    "dims": _list_of(_as_int),
+    "noise_vars": _list_of(_as_float),
+    "optimizers": _list_of(_one_of(OPTIMIZERS, "expected 'lra' or 'fixed', got {!r}")),
+    "eta_m": _list_of(_as_float),
+    "eta_sigma": _list_of(_as_float),
+}
+HYPER_KEYS = dict.fromkeys(SWEEP_AXES, _as_float)
+
+
+def _parse_keys(node, keys: dict, cls, path: str) -> dict:
+    """Keyword arguments of ``cls`` from the mapping ``node``, each key read by
+    ``keys[key]``.  Unknown keys are errors; an absent key keeps the field's
+    default, and one whose field has none is read as None."""
+    node = _expect_mapping(node, path)
+    _check_keys(node, keys, path)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    return {
+        key: parse(node.get(key), f"{path}.{key}")
+        for key, parse in keys.items()
+        if key in node or key in required
+    }
 
 
 def load_suite_config(path) -> SuiteConfig:
@@ -152,93 +229,28 @@ def load_suite_config(path) -> SuiteConfig:
     if "suite" not in root or "grid" not in root:
         raise ConfigError("config: the 'suite' and 'grid' sections are required")
 
-    suite = _expect_mapping(root["suite"], "suite")
-    _check_keys(
-        suite,
-        (
-            "name",
-            "trials",
-            "base_seed",
-            "max_evals",
-            "target",
-            "jobs",
-            "history_every",
-            "ecdf_targets",
-        ),
-        "suite",
-    )
-    name = suite.get("name", "suite")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("suite.name: expected a nonempty string")
-    trials = _as_int(suite.get("trials", 20), "suite.trials")
-    base_seed = _as_int(suite.get("base_seed", 1), "suite.base_seed")
-    max_evals = _as_int(suite.get("max_evals", 1_000_000), "suite.max_evals")
-    target = _as_float(suite.get("target", 1e-8), "suite.target")
-    jobs = _as_int(suite.get("jobs", 0), "suite.jobs")
-    history_every = _as_int(suite.get("history_every", 0), "suite.history_every")
-    ecdf_targets = _as_int(suite.get("ecdf_targets", 0), "suite.ecdf_targets")
-    if trials < 1:
+    sc = SuiteConfig(grid=[], **_parse_keys(root["suite"], SUITE_KEYS, SuiteConfig, "suite"))
+    if sc.trials < 1:
         raise ConfigError("suite.trials: must be at least 1")
-    if base_seed < 0:
+    if sc.base_seed < 0:
         raise ConfigError("suite.base_seed: must be nonnegative")
-    if max_evals < 1:
+    if sc.max_evals < 1:
         raise ConfigError("suite.max_evals: must be positive")
-    if not target > 0:
+    if not sc.target > 0:
         raise ConfigError("suite.target: must be positive")
-    if jobs < 0 or history_every < 0 or ecdf_targets < 0:
+    if sc.jobs < 0 or sc.history_every < 0 or sc.ecdf_targets < 0:
         raise ConfigError("suite.jobs/history_every/ecdf_targets: must be >= 0")
-    if ecdf_targets == 1:
+    if sc.ecdf_targets == 1:
         raise ConfigError("suite.ecdf_targets: needs at least 2 targets (or 0 = off)")
 
-    entries = []
-    for i, node in enumerate(_as_list(root["grid"], "grid")):
-        p = f"grid[{i}]"
-        node = _expect_mapping(node, p)
-        _check_keys(
-            node,
-            ("problems", "dims", "noise_vars", "optimizers", "eta_m", "eta_sigma"),
-            p,
-        )
-        problems = [str(v) for v in _as_list(node.get("problems"), f"{p}.problems")]
-        for prob in problems:
-            if prob not in PROBLEM_NAMES:
-                raise ConfigError(f"{p}.problems: unknown problem {prob!r}")
-        dims = [_as_int(v, f"{p}.dims") for v in _as_list(node.get("dims"), f"{p}.dims")]
-        noise_vars = [
-            _as_float(v, f"{p}.noise_vars")
-            for v in _as_list(node.get("noise_vars", [0.0]), f"{p}.noise_vars")
-        ]
-        optimizers = [
-            str(v) for v in _as_list(node.get("optimizers", ["lra"]), f"{p}.optimizers")
-        ]
-        for opt in optimizers:
-            if opt not in ("lra", "fixed"):
-                raise ConfigError(f"{p}.optimizers: expected 'lra' or 'fixed', got {opt!r}")
-        eta_m = [
-            _as_float(v, f"{p}.eta_m")
-            for v in _as_list(node.get("eta_m", [1.0]), f"{p}.eta_m")
-        ]
-        eta_sigma = [
-            _as_float(v, f"{p}.eta_sigma")
-            for v in _as_list(node.get("eta_sigma", [1.0]), f"{p}.eta_sigma")
-        ]
-        entries.append(
-            GridEntry(
-                problems=problems,
-                dims=dims,
-                noise_vars=noise_vars,
-                optimizers=optimizers,
-                eta_m=eta_m,
-                eta_sigma=eta_sigma,
-            )
-        )
+    grid = [
+        GridEntry(**_parse_keys(node, GRID_KEYS, GridEntry, f"grid[{i}]"))
+        for i, node in enumerate(_as_list(root["grid"], "grid"))
+    ]
 
-    hyper_node = _expect_mapping(root.get("hyperparams", {}), "hyperparams")
-    _check_keys(hyper_node, ("alpha", "beta_m", "beta_sigma", "gamma"), "hyperparams")
-    hyper_kwargs = {
-        key: _as_float(hyper_node[key], f"hyperparams.{key}")
-        for key in hyper_node
-    }
+    hyper_kwargs = _parse_keys(
+        root.get("hyperparams", {}), HYPER_KEYS, LraHyperParams, "hyperparams"
+    )
     try:
         hyper = LraHyperParams(**hyper_kwargs)
     except ValueError as exc:
@@ -253,27 +265,14 @@ def load_suite_config(path) -> SuiteConfig:
             raise ConfigError(
                 f"sweep.axis: expected one of {', '.join(SWEEP_AXES)}, got {sweep_axis!r}"
             )
-        sweep_values = [
-            _as_float(v, "sweep.values") for v in _as_list(sweep.get("values"), "sweep.values")
-        ]
+        sweep_values = _list_of(_as_float)(sweep.get("values"), "sweep.values")
         # each point writes its outputs into f"{axis}={value:g}"
         shown = [f"{v:g}" for v in sweep_values]
         if len(set(shown)) < len(shown):
             raise ConfigError(f"sweep.values: values repeat or print alike: {shown}")
 
-    return SuiteConfig(
-        name=name,
-        trials=trials,
-        base_seed=base_seed,
-        max_evals=max_evals,
-        target=target,
-        grid=entries,
-        hyper=hyper,
-        jobs=jobs,
-        history_every=history_every,
-        ecdf_targets=ecdf_targets,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
+    return replace(
+        sc, grid=grid, hyper=hyper, sweep_axis=sweep_axis, sweep_values=sweep_values
     )
 
 
@@ -343,15 +342,8 @@ def write_suite_outputs(
     manifest = {
         "package": "lracma",
         "version": __version__,
-        "suite": {
-            "name": sc.name,
-            "trials": sc.trials,
-            "base_seed": sc.base_seed,
-            "max_evals": sc.max_evals,
-            "target": sc.target,
-            "history_every": sc.history_every,
-            "ecdf_targets": sc.ecdf_targets,
-        },
+        # jobs changes no result, so the echo leaves it out
+        "suite": {key: getattr(sc, key) for key in SUITE_KEYS if key != "jobs"},
         "hyperparams": asdict(sc.hyper),
         "n_trials_total": len(configs),
     }
@@ -375,18 +367,17 @@ def write_suite_outputs(
 # -- commands ---------------------------------------------------------------
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    # the numbers are read in cmd_run, by the parsers of their YAML keys
     p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--dim", required=True, type=int)
-    p.add_argument("--optimizer", default="lra", choices=("lra", "fixed"))
-    p.add_argument("--eta-m", type=float, default=1.0)
-    p.add_argument("--eta-sigma", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.4)
-    p.add_argument("--beta-m", type=float, default=0.1)
-    p.add_argument("--beta-sigma", type=float, default=0.03)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--noise-var", type=float, default=0.0)
-    p.add_argument("--max-evals", type=lambda s: int(float(s)), default=10_000_000)
-    p.add_argument("--target", type=float, default=1e-8)
+    p.add_argument("--optimizer", default=GridEntry.optimizers[0], choices=OPTIMIZERS)
+    p.add_argument("--eta-m", default=GridEntry.eta_m[0])
+    p.add_argument("--eta-sigma", default=GridEntry.eta_sigma[0])
+    for name in SWEEP_AXES:
+        p.add_argument("--" + name.replace("_", "-"), default=getattr(LraHyperParams, name))
+    p.add_argument("--noise-var", default=GridEntry.noise_vars[0])
+    p.add_argument("--max-evals", default=10_000_000)
+    p.add_argument("--target", default=SuiteConfig.target)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--history-every", type=int, default=1)
@@ -394,26 +385,27 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args) -> int:
+    def number(dest, parse=_as_float):
+        return parse(getattr(args, dest), "--" + dest.replace("_", "-"))
+
     try:
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")
         if args.seed < 0:
             raise ValueError("seed must be nonnegative")
-        hyper = LraHyperParams(
-            alpha=args.alpha, beta_m=args.beta_m, beta_sigma=args.beta_sigma, gamma=args.gamma
-        )
+        hyper = LraHyperParams(**{name: number(name) for name in SWEEP_AXES})
         entry = GridEntry(
-            [args.problem], [args.dim], [args.noise_var], [args.optimizer],
-            [args.eta_m], [args.eta_sigma],
+            [args.problem], [args.dim], [number("noise_var")], [args.optimizer],
+            [number("eta_m")], [number("eta_sigma")],
         )
         sc = SuiteConfig(
+            grid=[entry],
+            hyper=hyper,
             name="run",
             trials=args.trials,
             base_seed=args.seed,
-            max_evals=args.max_evals,
-            target=args.target,
-            grid=[entry],
-            hyper=hyper,
+            max_evals=number("max_evals", _as_int),
+            target=number("target"),
             history_every=max(args.history_every, 1),
         )
         configs = expand_configs(sc)
@@ -535,6 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.jobs < 0:
+        print("error: --jobs: must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

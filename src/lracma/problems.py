@@ -188,8 +188,8 @@ def make_problem(name: str, d: int, noise_variance: float = 0.0) -> Problem:
         ) from None
     if d < bench.min_d:
         raise ValueError(f"{name} requires dimension >= {bench.min_d}, got {d}")
-    if noise_variance < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not 0 <= noise_variance < math.inf:
+        raise ValueError("noise variance must be finite and nonnegative")
     optimum = np.ones(d) if bench.optimum_at_ones else np.zeros(d)
     bounds = None
     if bench.bounded:

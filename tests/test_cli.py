@@ -1,7 +1,9 @@
 """Tests for the command-line front end: flags, configs, exit codes, outputs."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,13 @@ class TestRunCommand:
             ["--optimizer", "fixed", "--eta-sigma", "2"],
             ["--trials", "0"],
             ["--trials", "-3"],
+            ["--max-evals", "inf"],
+            ["--max-evals", "nan"],
+            ["--max-evals", "1000.7"],
+            ["--target", "inf"],
+            ["--noise-var", "nan"],
+            ["--gamma", "inf"],
+            ["--jobs", "-3"],
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, tmp_path, flags):
@@ -182,6 +191,21 @@ class TestRunCommand:
         code = main(["run", "--problem", "sphere", "--dim", "5", "--out", str(out), *flags])
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    def test_flags_reach_the_manifest(self, tmp_path):
+        flags = ["--alpha", "2", "--beta-m", "0.2", "--beta-sigma", "0.05", "--gamma", "0.3"]
+        argv = ["run", "--problem", "sphere", "--dim", "5", "--max-evals", "200",
+                "--log-every", "0", "--out", str(tmp_path), *flags]
+        assert main(argv) == EXIT_BUDGET
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["hyperparams"] == {
+            "alpha": 2.0, "beta_m": 0.2, "beta_sigma": 0.05, "gamma": 0.3
+        }
+        # every suite key but jobs, which changes no result
+        assert manifest["suite"] == {
+            "name": "run", "trials": 1, "base_seed": 1, "max_evals": 200,
+            "target": 1e-8, "history_every": 1, "ecdf_targets": 0,
+        }
 
 
 class TestOnePath:
@@ -265,6 +289,33 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="repeat or print alike"):
             expand_configs(sc)
 
+    @pytest.mark.parametrize(
+        "old, new, path",
+        [
+            ("max_evals: 20000", "max_evals: .inf", "suite.max_evals"),
+            ("max_evals: 20000", "max_evals: .nan", "suite.max_evals"),
+            ("target: 1.0e-6", "target: .inf", "suite.target"),
+            ("optimizers: [lra]", "optimizers: [lra]\n    noise_vars: [.nan]",
+             r"grid\[0\].noise_vars"),
+            ("optimizers: [lra]", "optimizers: [lra]\nhyperparams:\n  gamma: .inf",
+             "hyperparams.gamma"),
+        ],
+        ids=["max_evals-inf", "max_evals-nan", "target-inf", "noise_vars-nan", "gamma-inf"],
+    )
+    def test_nonfinite_numbers_are_config_errors(self, tmp_path, old, new, path):
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        with pytest.raises(ConfigError, match=f"{path}: expected a finite number"):
+            load_suite_config(cfg)
+        assert main(["suite", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["suite", "sweep"])
+    def test_negative_jobs_exits_2(self, tmp_path, command):
+        cfg = write_config(tmp_path, SWEEP)
+        out = tmp_path / "o"
+        assert main([command, cfg, "--jobs", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_config_errors_exit_2_via_cli(self, tmp_path):
         bad = write_config(tmp_path, MINIMAL + "\nbogus: 1\n")
         assert main(["suite", bad, "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -300,13 +351,17 @@ class TestConfigLoading:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_shipped_presets_parse(self):
+    def test_shipped_presets_parse(self, tmp_path):
+        readme = Path("README.md").read_text()
+        documented = readme.split("### Suite/sweep configuration (YAML)")[1]
+        documented = documented.split("```yaml\n")[1].split("```")[0]
         for preset in (
             "configs/noiseless_desk.yaml",
             "configs/noiseless_grid_desk.yaml",
             "configs/noisy_desk.yaml",
             "configs/sweep_alpha_desk.yaml",
             "configs/sweep_beta_sigma_desk.yaml",
+            write_config(tmp_path, documented),
         ):
             sc = load_suite_config(preset)
             assert expand_configs(sc)

@@ -102,9 +102,12 @@ class TestMakeProblem:
             make_problem(name, 1)
         assert make_problem(name, 2).d == 2
 
-    def test_negative_noise_rejected(self):
+    @pytest.mark.parametrize(
+        "variance", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+    )
+    def test_negative_noise_rejected(self, variance):
         with pytest.raises(ValueError):
-            make_problem("sphere", 5, noise_variance=-1.0)
+            make_problem("sphere", 5, noise_variance=variance)
 
     def test_ackley_carries_bounds(self):
         problem = make_problem("ackley", 10, noise_variance=1.0)
