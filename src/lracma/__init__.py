@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .core import (
     DistributionParams,
-    EvaluatedPopulation,
-    EvolutionPaths,
     StrategyParams,
     default_strategy_params,
 )
@@ -29,19 +27,16 @@ from .harness import (
     sp1,
     success_rate,
 )
-from .lra import IterationStats, LraCmaEs, LraComponentState, LraHyperParams
+from .lra import IterationStats, LraCmaEs, LraHyperParams
 from .problems import PROBLEM_NAMES, Problem, make_problem
 
 __all__ = [
     "DistributionParams",
     "EcdfCurve",
     "EcdfSpec",
-    "EvaluatedPopulation",
-    "EvolutionPaths",
     "InvalidFitnessError",
     "IterationStats",
     "LraCmaEs",
-    "LraComponentState",
     "LraHyperParams",
     "NumericalError",
     "PROBLEM_NAMES",

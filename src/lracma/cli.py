@@ -393,6 +393,10 @@ def cmd_run(args) -> int:
             raise ValueError("--trials must be at least 1")
         if args.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if args.history_every < 1:
+            raise ValueError("--history-every: must be at least 1")
+        if args.log_every < 0:
+            raise ValueError("--log-every: must be >= 0")
         hyper = LraHyperParams(**{name: number(name) for name in SWEEP_AXES})
         entry = GridEntry(
             [args.problem], [args.dim], [number("noise_var")], [args.optimizer],
@@ -406,7 +410,7 @@ def cmd_run(args) -> int:
             base_seed=args.seed,
             max_evals=number("max_evals", _as_int),
             target=number("target"),
-            history_every=max(args.history_every, 1),
+            history_every=args.history_every,
         )
         configs = expand_configs(sc)
         if args.trials == 1:

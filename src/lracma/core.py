@@ -2,9 +2,11 @@
 
 This is the standard weighted-recombination CMA-ES with cumulative step-size
 adaptation and rank-one plus rank-mu covariance updates.  The operations are
-pure: ``cma_candidate_update`` returns a *proposed* parameter triple and never
-mutates its inputs, so the learning-rate layer (`lracma.lra`) can blend old
-and proposed parameters afterwards.
+pure functions of plain arrays and floats that never mutate their inputs; the
+state they read and return (m, sigma, C, the two paths, t) lives as plain
+attributes of `lracma.lra.LraCmaEs`.  ``cma_candidate_update`` returns a
+*proposed* ``(m, sigma, C)``, so the learning-rate layer can blend old and
+proposed parameters afterwards.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidFitnessError, NumericalError
-from .linalg import sym_sqrt, symmetrize
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,6 @@ class DistributionParams:
             raise ValueError("covariance shape does not match the mean dimension")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    @property
-    def d(self) -> int:
-        return self.m.size
 
     @property
     def covariance(self) -> np.ndarray:
@@ -146,136 +143,110 @@ def default_strategy_params(d: int, lam: Optional[int] = None) -> StrategyParams
     )
 
 
-@dataclass(frozen=True)
-class EvolutionPaths:
-    """Cumulated step-size and covariance paths plus the iteration counter."""
-
-    p_sigma: np.ndarray
-    p_c: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zero(cls, d: int) -> "EvolutionPaths":
-        return cls(p_sigma=np.zeros(d), p_c=np.zeros(d), t=0)
-
-
-@dataclass
-class EvaluatedPopulation:
-    """One sampled generation; rows of ``x``, ``y``, ``z`` are per-candidate.
-
-    By construction x_i = m + sigma * y_i with y_i = sqrt(C) z_i.  ``fitness``
-    stays ``None`` until the caller evaluates the candidates.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    fitness: Optional[np.ndarray] = None
-
-    def ranking(self) -> np.ndarray:
-        """Indices sorted by fitness ascending, ties broken by sample index."""
-        if self.fitness is None:
-            raise ValueError("population has not been evaluated yet")
-        if not np.isfinite(self.fitness).all():
-            raise InvalidFitnessError("fitness values must be finite")
-        return self.fitness.argsort(kind="stable")
+def ranking(fitness: np.ndarray) -> np.ndarray:
+    """Indices sorted by fitness ascending, ties broken by sample index."""
+    if not np.isfinite(fitness).all():
+        raise InvalidFitnessError("fitness values must be finite")
+    return fitness.argsort(kind="stable")
 
 
 def sample_population(
-    params: DistributionParams,
+    m: np.ndarray,
+    sigma: float,
+    sqrt_C: np.ndarray,
     sp: StrategyParams,
     rng: np.random.Generator,
-    sqrt_C: Optional[np.ndarray] = None,
-) -> EvaluatedPopulation:
+):
     """Draw lambda candidates x_i = m + sigma * sqrt(C) z_i, z_i ~ N(0, I).
 
-    ``sqrt_C`` is a symmetric square root of ``params.C`` the caller already
-    holds, used as given (roots from different decompositions of C agree up
-    to round-off only); ``sym_sqrt(params.C)`` when omitted.
+    ``sqrt_C`` is a symmetric square root of C, used as given (roots from
+    different decompositions of C agree up to round-off only).  Returns
+    ``(x, y, z)``, one candidate per row, with y_i = sqrt(C) z_i.
     """
-    if sqrt_C is None:
-        if not np.isfinite(params.C).all():
-            raise NumericalError("nonfinite_state", "covariance has non-finite entries")
-        sqrt_C = sym_sqrt(params.C)
     z = rng.standard_normal((sp.lam, sp.d))
     y = z @ sqrt_C.T
-    x = params.m + params.sigma * y
-    return EvaluatedPopulation(x=x, y=y, z=z)
+    x = m + sigma * y
+    return x, y, z
 
 
-def rank_and_recombine(pop: EvaluatedPopulation, sp: StrategyParams, best=None):
+def rank_and_recombine(y: np.ndarray, z: np.ndarray, fitness: np.ndarray, sp: StrategyParams):
     """Weighted averages of the best-mu steps: dy = sum_i w_i y_{i:lam}, dz alike.
 
-    ``best`` takes precomputed best-mu indices, ``pop.ranking()[:mu]``.
+    Returns ``(dy, dz, y_best)``; ``y_best`` holds the best-mu rows of ``y``
+    in rank order, which the rank-mu update reuses.
     """
-    if pop.fitness is None or pop.fitness.shape != (sp.lam,):
+    if fitness.shape != (sp.lam,):
         raise ValueError("population must carry one fitness value per candidate")
-    if best is None:
-        best = pop.ranking()[: sp.mu]
-    dy = sp.weights @ pop.y[best]
-    dz = sp.weights @ pop.z[best]
-    return dy, dz
+    best = ranking(fitness)[: sp.mu]
+    y_best = y[best]
+    dy = sp.weights @ y_best
+    dz = sp.weights @ z[best]
+    return dy, dz, y_best
 
 
-def update_paths(paths: EvolutionPaths, dy: np.ndarray, dz: np.ndarray, sp: StrategyParams):
-    """Cumulate both evolution paths; returns the new paths and h_sigma.
+def update_paths(
+    p_sigma: np.ndarray,
+    p_c: np.ndarray,
+    t: int,
+    dy: np.ndarray,
+    dz: np.ndarray,
+    sp: StrategyParams,
+):
+    """Cumulate both evolution paths after ``t`` completed generations.
 
-    h_sigma stalls the rank-one cumulation while the step-size path is still
-    unusually long, and additionally triggers a variance correction term in
-    the covariance update.
+    Returns ``(p_sigma, p_c, h_sigma, norm2)`` with ``norm2`` = |p_sigma|^2
+    of the new step-size path.  h_sigma stalls the rank-one cumulation while
+    the step-size path is still unusually long, and additionally triggers a
+    variance correction term in the covariance update.
     """
-    t_new = paths.t + 1
-    p_sigma = (1 - sp.c_sigma) * paths.p_sigma + math.sqrt(
+    p_sigma = (1 - sp.c_sigma) * p_sigma + math.sqrt(
         sp.c_sigma * (2 - sp.c_sigma) * sp.mu_w
     ) * dz
     norm2 = float(p_sigma @ p_sigma)
     h_sigma = int(
-        norm2 / (1 - (1 - sp.c_sigma) ** (2 * t_new)) < (2 + 4 / (sp.d + 1)) * sp.d
+        norm2 / (1 - (1 - sp.c_sigma) ** (2 * (t + 1))) < (2 + 4 / (sp.d + 1)) * sp.d
     )
-    p_c = (1 - sp.c_c) * paths.p_c + h_sigma * math.sqrt(
+    p_c = (1 - sp.c_c) * p_c + h_sigma * math.sqrt(
         sp.c_c * (2 - sp.c_c) * sp.mu_w
     ) * dy
-    return EvolutionPaths(p_sigma=p_sigma, p_c=p_c, t=t_new), h_sigma
+    return p_sigma, p_c, h_sigma, norm2
 
 
 def cma_candidate_update(
-    params: DistributionParams,
-    paths: EvolutionPaths,
+    m: np.ndarray,
+    sigma: float,
+    C: np.ndarray,
+    norm2: float,
+    p_c: np.ndarray,
     h_sigma: int,
     dy: np.ndarray,
-    pop: EvaluatedPopulation,
+    y_best: np.ndarray,
     sp: StrategyParams,
-    best=None,
-) -> DistributionParams:
-    """One plain CMA-ES parameter update, returned as a proposal.
+):
+    """One plain CMA-ES parameter update, returned as a proposed ``(m, sigma, C)``.
 
-    ``paths`` must already hold the freshly cumulated paths for this
-    generation; ``best`` is as in :func:`rank_and_recombine`.  The exponent
-    of the step-size update is clamped at 1, and the covariance update
-    combines the h_sigma correction, rank-one, and rank-mu terms; the result
-    is explicitly symmetrized.
+    ``norm2`` and ``p_c`` are this generation's freshly cumulated path
+    values and ``y_best`` the ranked best-mu steps, as :func:`update_paths`
+    and :func:`rank_and_recombine` return them.  The exponent of the
+    step-size update is clamped at 1, and the covariance update combines the
+    h_sigma correction, rank-one, and rank-mu terms; the result is
+    explicitly symmetrized.
     """
-    m_new = params.m + sp.c_m * params.sigma * dy
-    p_sigma, p_c = paths.p_sigma, paths.p_c
-    p_norm = math.sqrt(float(p_sigma @ p_sigma))
-    sigma_new = params.sigma * math.exp(
-        min(1.0, (sp.c_sigma / sp.d_sigma) * (p_norm / sp.chi_d - 1.0))
+    m_new = m + sp.c_m * sigma * dy
+    sigma_new = sigma * math.exp(
+        min(1.0, (sp.c_sigma / sp.d_sigma) * (math.sqrt(norm2) / sp.chi_d - 1.0))
     )
-    if best is None:
-        best = pop.ranking()[: sp.mu]
-    y_best = pop.y[best]
     rank_mu = (y_best.T * sp.weights) @ y_best
-    C = params.C
     C_new = (
         (1 + (1 - h_sigma) * sp.c_1 * sp.c_c * (2 - sp.c_c)) * C
         + sp.c_1 * (p_c[:, None] * p_c - C)
         + sp.c_mu * (rank_mu - C)
     )
-    C_new = symmetrize(C_new)
+    C_new = (C_new + C_new.T) / 2.0
     if (
         not np.isfinite(m_new).all()
         or not math.isfinite(sigma_new)
         or not np.isfinite(C_new).all()
     ):
         raise NumericalError("nonfinite_state", "CMA update produced non-finite values")
-    return DistributionParams(m=m_new, sigma=sigma_new, C=C_new)
+    return m_new, sigma_new, C_new

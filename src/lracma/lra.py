@@ -6,6 +6,12 @@ is steered so that the signal-to-noise ratio of its parameter update, measured
 in Fisher-local coordinates, stays near ``alpha * eta``: updates that are
 mostly noise shrink eta, consistent progress raises it back towards 1.
 
+The per-generation ops are module-level functions of plain arrays and
+floats.  `LraCmaEs` keeps the whole state as plain attributes (m, sigma, C
+with C's eigendecomposition and root, the two paths and t, and E, V and eta
+for each component), calls the ops by name from ``ask()``/``tell()``, and
+commits a generation's new state only after every op has succeeded.
+
 Naming note: the ``_sigma`` suffix on eta/beta/snr refers to the *covariance*
 component Sigma = sigma^2 C of the distribution parameters, never to the
 scalar step-size, which is always plain ``sigma``.
@@ -22,8 +28,6 @@ import numpy as np
 
 from .core import (
     DistributionParams,
-    EvaluatedPopulation,
-    EvolutionPaths,
     StrategyParams,
     cma_candidate_update,
     default_strategy_params,
@@ -32,10 +36,13 @@ from .core import (
     update_paths,
 )
 from .errors import NumericalError, SingularMetricError
-from .linalg import EIG_FLOOR, eigh_or_raise, sqrt_from_eigh, symmetrize
 
 logger = logging.getLogger(__name__)
 
+# Absolute eigenvalue floor: C's square root raises eigenvalues below it
+# (negative round-off) before taking roots, and a metric whose smallest
+# eigenvalue is at or below it counts as singular.
+EIG_FLOOR = 1e-20
 # Relative floor for repairing a blended covariance that lost positive
 # definiteness to round-off: eigenvalues below 1e-20 * max eigenvalue are
 # raised to that level (and the event is reported to the caller).
@@ -66,52 +73,28 @@ class LraHyperParams:
             raise ValueError("gamma must be positive")
 
 
-@dataclass(frozen=True)
-class LraComponentState:
-    """Per-component controller state: eta plus the moving averages E and V.
+def eigh_or_raise(a: np.ndarray):
+    """``numpy.linalg.eigh`` mapped onto the package's error type."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigh_failed", str(exc)) from exc
 
-    ``E`` tracks the local-coordinate deltas themselves (length d for the
-    mean component, d^2 for the covariance component); ``V`` tracks their
-    squared l2 norms.  Both start at zero with eta = 1.
+
+def compute_deltas(m: np.ndarray, cov: np.ndarray, m_prop: np.ndarray, cov_prop: np.ndarray):
+    """Differences (proposed - old) for the mean and the full covariance.
+
+    ``cov`` and ``cov_prop`` are full covariances sigma^2 C.  Returns
+    ``(delta_m, delta_sigma)``; ``delta_sigma`` is the row-major vec of the
+    covariance change, so it has length d^2 and reshapes to a symmetric
+    matrix.
     """
-
-    eta: float
-    E: np.ndarray
-    V: float
-
-    def __post_init__(self):
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-        if self.V < 0:
-            raise ValueError("V is a convex combination of squared norms, so >= 0")
-
-    @classmethod
-    def initial(cls, size: int) -> "LraComponentState":
-        return cls(eta=1.0, E=np.zeros(size), V=0.0)
+    return m_prop - m, (cov_prop - cov).ravel()
 
 
-@dataclass(frozen=True)
-class DeltaPair:
-    """One-step parameter differences: mean delta and flattened Sigma delta.
-
-    ``delta_sigma`` is the row-major vec of the change of the full covariance
-    sigma^2 C, so it has length d^2 and reshapes to a symmetric matrix.
-    """
-
-    delta_m: np.ndarray
-    delta_sigma: np.ndarray
-
-
-def compute_deltas(old: DistributionParams, proposed: DistributionParams) -> DeltaPair:
-    """Differences (proposed - old) for the mean and the full covariance."""
-    if old.d != proposed.d:
-        raise ValueError("old and proposed parameters must share the dimension")
-    delta_m = proposed.m - old.m
-    delta_sigma = (proposed.covariance - old.covariance).ravel()
-    return DeltaPair(delta_m=delta_m, delta_sigma=delta_sigma)
-
-
-def to_local_coordinates(dp: DeltaPair, w: np.ndarray, v: np.ndarray):
+def to_local_coordinates(
+    delta_m: np.ndarray, delta_sigma: np.ndarray, w: np.ndarray, v: np.ndarray
+):
     """Map raw deltas into coordinates where the Fisher metric is the identity.
 
     ``(w, v)`` is the eigendecomposition of the old full covariance Sigma,
@@ -126,25 +109,28 @@ def to_local_coordinates(dp: DeltaPair, w: np.ndarray, v: np.ndarray):
     """
     if w[0] <= EIG_FLOOR:
         raise SingularMetricError(f"min eigenvalue {w[0]:.3e} <= {EIG_FLOOR:.0e}")
-    d = dp.delta_m.size
+    d = delta_m.size
     inv_sqrt = (v / np.sqrt(w)) @ v.T
-    tilde_m = inv_sqrt @ dp.delta_m
+    tilde_m = inv_sqrt @ delta_m
     tilde_sigma = math.sqrt(0.5) * (
-        inv_sqrt @ dp.delta_sigma.reshape(d, d) @ inv_sqrt
+        inv_sqrt @ delta_sigma.reshape(d, d) @ inv_sqrt
     ).ravel()
     return tilde_m, tilde_sigma
 
 
-def update_snr_state(state: LraComponentState, tilde: np.ndarray, beta: float) -> LraComponentState:
-    """Exponential moving averages: E of the deltas, V of their squared norms."""
-    if tilde.shape != state.E.shape:
-        raise ValueError("delta dimension does not match the moving average")
-    E = (1 - beta) * state.E + beta * tilde
-    V = (1 - beta) * state.V + beta * float(tilde @ tilde)
-    return LraComponentState(state.eta, E, V)
+def update_snr_state(E: np.ndarray, V: float, tilde: np.ndarray, beta: float):
+    """Exponential moving averages: E of the deltas, V of their squared norms.
+
+    ``E`` has the length of the local-coordinate delta (d for the mean
+    component, d^2 for the covariance component); both averages start at
+    zero.  Returns the new ``(E, V)``.
+    """
+    E = (1 - beta) * E + beta * tilde
+    V = (1 - beta) * V + beta * float(tilde @ tilde)
+    return E, V
 
 
-def estimate_snr(state: LraComponentState, beta: float) -> float:
+def estimate_snr(E: np.ndarray, V: float, beta: float) -> float:
     """Signal-to-noise estimate from the moving averages.
 
     Returns (|E|^2 - beta/(2-beta) V) / (V - |E|^2).  A degenerate
@@ -152,11 +138,11 @@ def estimate_snr(state: LraComponentState, beta: float) -> float:
     signalled as +inf: the noise estimate vanished, so the adaptation's
     projected feedback saturates at its maximum of +1.
     """
-    e2 = float(state.E @ state.E)
-    denom = state.V - e2
+    e2 = float(E @ E)
+    denom = V - e2
     if denom <= 0.0:
         return math.inf
-    return (e2 - beta / (2 - beta) * state.V) / denom
+    return (e2 - beta / (2 - beta) * V) / denom
 
 
 def adapt_learning_rate(eta: float, snr_hat: float, hp: LraHyperParams, beta: float) -> float:
@@ -172,42 +158,42 @@ def adapt_learning_rate(eta: float, snr_hat: float, hp: LraHyperParams, beta: fl
 
 
 def apply_blended_update(
-    old: DistributionParams,
-    dp: DeltaPair,
+    m: np.ndarray,
+    cov: np.ndarray,
+    m_prop: np.ndarray,
+    cov_prop: np.ndarray,
+    delta_m: np.ndarray,
+    delta_sigma: np.ndarray,
     eta_m: float,
     eta_sigma: float,
-    proposed: Optional[DistributionParams] = None,
 ):
     """Scale the parameter deltas by their learning rates and apply them.
 
-    Returns ``(m_new, cov_new, (w, v), floored)`` where ``cov_new`` is the
-    full covariance Sigma, ``(w, v)`` its eigendecomposition,
-    the generation's only one, and ``floored`` reports whether round-off
-    pushed an eigenvalue of the blend below the relative floor and it had to
-    be raised.  A Sigma with no positive eigenvalue raises NumericalError
-    ``nonpositive_determinant``.
+    ``(m, cov)`` are the old mean and full covariance, ``(m_prop,
+    cov_prop)`` the proposed ones and the deltas their differences, as
+    :func:`compute_deltas` returns them.  Returns ``(m_new, cov_new, (w, v),
+    floored)`` where ``cov_new`` is the full covariance Sigma, ``(w, v)`` its
+    eigendecomposition, the generation's only one, and ``floored`` reports
+    whether round-off pushed an eigenvalue of the blend below the relative
+    floor and it had to be raised.  A Sigma with no positive eigenvalue
+    raises NumericalError ``nonpositive_determinant``.
 
-    When a component's eta is exactly 1 and ``proposed`` is given, that
-    component is taken from ``proposed`` unchanged; a full step then
-    reproduces the plain update bit for bit instead of via old + (new - old).
+    When a component's eta is exactly 1, that component is taken from the
+    proposal unchanged; a full step then reproduces the plain update bit for
+    bit instead of via old + (new - old).
 
-    Precondition: ``old.C`` and ``mat(dp.delta_sigma)`` are exactly
-    symmetric, so the blend old + eta * delta is exactly symmetric and is
-    not symmetrized again.  Every state of :class:`LraCmaEs` satisfies it:
-    the constructor rejects an asymmetric initial C,
-    :func:`cma_candidate_update` symmetrizes its proposal, and the re-split
-    only divides by a scalar.
+    Precondition: ``cov`` and ``mat(delta_sigma)`` are exactly symmetric, so
+    the blend old + eta * delta is exactly symmetric and is not symmetrized
+    again.  Every state of :class:`LraCmaEs` satisfies it: the constructor
+    rejects an asymmetric initial C, :func:`cma_candidate_update`
+    symmetrizes its proposal, and the re-split only divides by a scalar.
     """
-    d = old.d
-    if eta_m == 1.0 and proposed is not None:
-        m_new = proposed.m
-    else:
-        m_new = old.m + eta_m * dp.delta_m
-    full_step = eta_sigma == 1.0 and proposed is not None
+    m_new = m_prop if eta_m == 1.0 else m + eta_m * delta_m
+    full_step = eta_sigma == 1.0
     if full_step:
-        cov_new = proposed.covariance
+        cov_new = cov_prop
     else:
-        cov_new = old.covariance + eta_sigma * dp.delta_sigma.reshape(d, d)
+        cov_new = cov + eta_sigma * delta_sigma.reshape(cov.shape)
     w, v = eigh_or_raise(cov_new)
     if w[-1] <= 0:
         raise NumericalError(
@@ -221,7 +207,8 @@ def apply_blended_update(
             w[0],
         )
         w = np.maximum(w, floor)
-        cov_new = symmetrize((v * w) @ v.T)
+        cov_new = (v * w) @ v.T
+        cov_new = (cov_new + cov_new.T) / 2.0
     return m_new, cov_new, (w, v), floored
 
 
@@ -353,20 +340,23 @@ class LraCmaEs:
         elif seed is not None:
             raise ValueError("pass either seed or rng, not both")
 
+        DistributionParams(m=mean, sigma=float(sigma), C=cov)  # mean is 1-D, sigma > 0
         if lr_mode == "adaptive":
             eta_m = eta_sigma = 1.0
         self._sp = strategy
         self._hyper = hyper if hyper is not None else LraHyperParams()
         self._lr_mode = lr_mode
         self._rng = rng
-        self._params = DistributionParams(m=mean, sigma=float(sigma), C=cov)
-        self._paths = EvolutionPaths.zero(d)
-        self._state_m = LraComponentState(eta=eta_m, E=np.zeros(d), V=0.0)
-        self._state_sigma = LraComponentState(eta=eta_sigma, E=np.zeros(d * d), V=0.0)
-        self._pending: Optional[EvaluatedPopulation] = None
+        # the state: distribution, paths, and per-component E, V and eta
+        self._m, self._sigma, self._C = mean, float(sigma), cov
+        self._p_sigma, self._p_c, self._t = np.zeros(d), np.zeros(d), 0
+        self._E_m, self._V_m, self._eta_m = np.zeros(d), 0.0, eta_m
+        self._E_sigma, self._V_sigma, self._eta_sigma = np.zeros(d * d), 0.0, eta_sigma
+        # (x, y, z) of the generation asked for and not yet told
+        self._pending = None
         self._floor_count = 0
-        w, v = eigh_or_raise(self._params.C)
-        eig_min = self._params.sigma**2 * w[0]
+        w, v = eigh_or_raise(cov)
+        eig_min = self._sigma**2 * w[0]
         if not eig_min > EIG_FLOOR:
             raise ValueError(
                 f"sigma^2 * cov must be positive definite: smallest eigenvalue "
@@ -378,15 +368,16 @@ class LraCmaEs:
 
     @property
     def params(self) -> DistributionParams:
-        return self._params
+        """The current (m, sigma, C), validated, as a new view on each access."""
+        return DistributionParams(m=self._m, sigma=self._sigma, C=self._C)
 
     @property
     def mean(self) -> np.ndarray:
-        return self._params.m
+        return self._m
 
     @property
     def sigma(self) -> float:
-        return self._params.sigma
+        return self._sigma
 
     @property
     def strategy(self) -> StrategyParams:
@@ -399,19 +390,19 @@ class LraCmaEs:
 
     @property
     def t(self) -> int:
-        return self._paths.t
+        return self._t
 
     @property
     def evals(self) -> int:
-        return self._paths.t * self._sp.lam
+        return self._t * self._sp.lam
 
     @property
     def eta_m(self) -> float:
-        return self._state_m.eta
+        return self._eta_m
 
     @property
     def eta_sigma(self) -> float:
-        return self._state_sigma.eta
+        return self._eta_sigma
 
     @property
     def floor_count(self) -> int:
@@ -429,63 +420,70 @@ class LraCmaEs:
         if self._pending is not None:
             raise RuntimeError("tell() must consume the pending population first")
         self._pending = sample_population(
-            self._params, self._sp, self._rng, sqrt_C=self._sqrt_C
+            self._m, self._sigma, self._sqrt_C, self._sp, self._rng
         )
-        return self._pending.x
+        return self._pending[0]
 
     def tell(self, fitness) -> IterationStats:
-        """Consume fitness values for the pending population and update."""
+        """Consume fitness values for the pending population and update.
+
+        Every op runs on local values first; the state is committed only
+        after all of them succeeded, so a ``tell()`` that raises leaves the
+        optimizer as it was.
+        """
         if self._pending is None:
             raise RuntimeError("ask() must be called before tell()")
         fitness = np.asarray(fitness, dtype=float)
-        pop, self._pending = self._pending, None
-        pop.fitness = fitness
+        (_, y, z), self._pending = self._pending, None
 
         sp = self._sp
         hp = self._hyper
-        old = self._params
-        best = pop.ranking()[: sp.mu]
-        dy, dz = rank_and_recombine(pop, sp, best)
-        paths, h_sigma = update_paths(self._paths, dy, dz, sp)
-        proposed = cma_candidate_update(old, paths, h_sigma, dy, pop, sp, best)
+        m, sigma, C = self._m, self._sigma, self._C
+        dy, dz, y_best = rank_and_recombine(y, z, fitness, sp)
+        p_sigma, p_c, h_sigma, norm2 = update_paths(
+            self._p_sigma, self._p_c, self._t, dy, dz, sp
+        )
+        m_prop, sigma_prop, C_prop = cma_candidate_update(
+            m, sigma, C, norm2, p_c, h_sigma, dy, y_best, sp
+        )
 
-        state_m, state_sigma = self._state_m, self._state_sigma
+        E_m, V_m, eta_m = self._E_m, self._V_m, self._eta_m
+        E_sigma, V_sigma, eta_sigma = self._E_sigma, self._V_sigma, self._eta_sigma
         snr_m = snr_sigma = math.nan
         floored = False
         if self._lr_mode == "plain":
-            params = proposed
-            w_c, v = eigh_or_raise(params.C)
+            m_new, sigma_new, C_new = m_prop, sigma_prop, C_prop
+            w_c, v = eigh_or_raise(C_new)
         else:
-            dp = compute_deltas(old, proposed)
-            eta_m_old = eta_m = state_m.eta
-            eta_sigma = state_sigma.eta
+            cov = sigma**2 * C
+            cov_prop = sigma_prop**2 * C_prop
+            delta_m, delta_sigma = compute_deltas(m, cov, m_prop, cov_prop)
             if self._lr_mode == "adaptive":
-                w_old, v_old = self._eig_C
-                w_old = old.sigma**2 * w_old
-                tilde_m, tilde_sigma = to_local_coordinates(dp, w_old, v_old)
-                state_m = update_snr_state(state_m, tilde_m, hp.beta_m)
-                state_sigma = update_snr_state(state_sigma, tilde_sigma, hp.beta_sigma)
-                snr_m = estimate_snr(state_m, hp.beta_m)
-                snr_sigma = estimate_snr(state_sigma, hp.beta_sigma)
-                eta_m = adapt_learning_rate(eta_m_old, snr_m, hp, hp.beta_m)
+                tilde_m, tilde_sigma = to_local_coordinates(
+                    delta_m, delta_sigma, sigma**2 * self._w_C, self._v_C
+                )
+                E_m, V_m = update_snr_state(E_m, V_m, tilde_m, hp.beta_m)
+                E_sigma, V_sigma = update_snr_state(E_sigma, V_sigma, tilde_sigma, hp.beta_sigma)
+                snr_m = estimate_snr(E_m, V_m, hp.beta_m)
+                snr_sigma = estimate_snr(E_sigma, V_sigma, hp.beta_sigma)
+                eta_m = adapt_learning_rate(eta_m, snr_m, hp, hp.beta_m)
                 eta_sigma = adapt_learning_rate(eta_sigma, snr_sigma, hp, hp.beta_sigma)
-                state_m = LraComponentState(eta_m, state_m.E, state_m.V)
-                state_sigma = LraComponentState(eta_sigma, state_sigma.E, state_sigma.V)
             m_new, cov_new, (w, v), floored = apply_blended_update(
-                old, dp, eta_m, eta_sigma, proposed=proposed
+                m, cov, m_prop, cov_prop, delta_m, delta_sigma, eta_m, eta_sigma
             )
             sigma_new, C_new = decompose_sigma(cov_new, w)
             w_c = w / sigma_new**2
             if self._lr_mode == "adaptive":
-                sigma_new = correct_step_size(sigma_new, eta_m_old, eta_m)
+                sigma_new = correct_step_size(sigma_new, self._eta_m, eta_m)
             if not np.isfinite(m_new).all() or not math.isfinite(sigma_new):
                 raise NumericalError(
                     "nonfinite_state", "blended update produced non-finite values"
                 )
-            params = DistributionParams(m=m_new, sigma=sigma_new, C=C_new)
 
-        self._params, self._paths = params, paths
-        self._state_m, self._state_sigma = state_m, state_sigma
+        self._m, self._sigma, self._C = m_new, sigma_new, C_new
+        self._p_sigma, self._p_c, self._t = p_sigma, p_c, self._t + 1
+        self._E_m, self._V_m, self._eta_m = E_m, V_m, eta_m
+        self._E_sigma, self._V_sigma, self._eta_sigma = E_sigma, V_sigma, eta_sigma
         self._floor_count += floored
         self._refresh_cov_cache(w_c, v)
         return self._make_stats(snr_m, snr_sigma, floored)
@@ -495,26 +493,25 @@ class LraCmaEs:
     def _refresh_cov_cache(self, w: np.ndarray, v: np.ndarray):
         # (w, v) decomposes the new C (plain mode: an eigh of C; otherwise the
         # new Sigma's eigh over sigma^2): the next root, metric and eig stats
-        self._eig_C = (w, v)
-        self._sqrt_C = sqrt_from_eigh(w, v)
+        self._w_C, self._v_C = w, v
+        self._sqrt_C = (v * np.sqrt(np.maximum(w, EIG_FLOOR))) @ v.T
 
     def _make_stats(self, snr_m: float, snr_sigma: float, floored: bool) -> IterationStats:
-        w = self._eig_C[0]
-        scale = self._params.sigma ** 2
+        scale = self._sigma**2
         # LU-based determinant: noticeably less noise than the eigenvalue
         # product on ill-conditioned shapes
-        sign, logdet = np.linalg.slogdet(self._params.C)
+        sign, logdet = np.linalg.slogdet(self._C)
         det_c = float(sign * np.exp(logdet)) if sign != 0 else 0.0
         return IterationStats(
-            t=self.t,
+            t=self._t,
             evals=self.evals,
-            sigma=self._params.sigma,
-            eta_m=self._state_m.eta,
-            eta_sigma=self._state_sigma.eta,
+            sigma=self._sigma,
+            eta_m=self._eta_m,
+            eta_sigma=self._eta_sigma,
             snr_m=snr_m,
             snr_sigma=snr_sigma,
-            eig_min=float(scale * w[0]),
-            eig_max=float(scale * w[-1]),
+            eig_min=float(scale * self._w_C[0]),
+            eig_max=float(scale * self._w_C[-1]),
             det_c=det_c,
             floored=floored,
         )

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from lracma.core import (
-    DistributionParams,
-    EvolutionPaths,
     cma_candidate_update,
     default_strategy_params,
     rank_and_recombine,
@@ -29,8 +27,8 @@ from lracma.harness import (
     write_results_csv,
 )
 from lracma.lra import (
+    EIG_FLOOR,
     LraCmaEs,
-    LraComponentState,
     LraHyperParams,
     estimate_snr,
     update_snr_state,
@@ -179,17 +177,17 @@ def test_criterion_5_snr_estimator_oracle():
     mu = np.zeros(d)
     mu[0] = 1.0
     rng = np.random.default_rng(123)
-    state = LraComponentState.initial(d)
+    E, V = np.zeros(d), 0.0
     for _ in range(int(50 / beta)):
-        state = update_snr_state(state, mu + rng.standard_normal(d), beta)
+        E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
     n = 10_000
     snr_sum = 0.0
     signal_sum = 0.0
     for _ in range(n):
-        state = update_snr_state(state, mu + rng.standard_normal(d), beta)
-        snr_sum += estimate_snr(state, beta)
-        e2 = float(state.E @ state.E)
-        signal_sum += (2 - beta) / (2 - 2 * beta) * e2 - beta / (2 - 2 * beta) * state.V
+        E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
+        snr_sum += estimate_snr(E, V, beta)
+        e2 = float(E @ E)
+        signal_sum += (2 - beta) / (2 - 2 * beta) * e2 - beta / (2 - 2 * beta) * V
     elapsed = time.perf_counter() - start
     snr_avg = snr_sum / n
     signal_avg = signal_sum / n
@@ -213,10 +211,10 @@ def test_criterion_6_moving_average_distribution():
     rng = np.random.default_rng(5)
     finals = np.empty((replicas, d))
     for k in range(replicas):
-        state = LraComponentState.initial(d)
+        E, V = np.zeros(d), 0.0
         for _ in range(steps):
-            state = update_snr_state(state, mu + rng.standard_normal(d), beta)
-        finals[k] = state.E
+            E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
+        finals[k] = E
     trace = float(np.trace(np.cov(finals.T)))
     expected = beta / (2 - beta) * d
     ok = abs(trace - expected) <= 0.10 * expected
@@ -263,26 +261,26 @@ def test_criterion_8_reduction_to_plain_cma():
     sp = opt.strategy
 
     rng = np.random.default_rng(11)
-    params = DistributionParams(
-        m=problem.init_m.astype(float), sigma=problem.init_sigma, C=np.eye(5)
-    )
-    paths = EvolutionPaths.zero(5)
+    m, sigma, C = problem.init_m.astype(float), problem.init_sigma, np.eye(5)
+    p_sigma, p_c, t = np.zeros(5), np.zeros(5), 0
     exact = True
     for _ in range(100):
         xs = opt.ask()
         opt.tell(problem.evaluate_population(xs))
 
-        pop = sample_population(params, sp, rng)
-        pop.fitness = problem.evaluate_population(pop.x)
-        dy, dz = rank_and_recombine(pop, sp)
-        paths, h_sigma = update_paths(paths, dy, dz, sp)
-        params = cma_candidate_update(params, paths, h_sigma, dy, pop, sp)
+        w, v = np.linalg.eigh(C)
+        root = (v * np.sqrt(np.maximum(w, EIG_FLOOR))) @ v.T
+        x, y, z = sample_population(m, sigma, root, sp, rng)
+        dy, dz, y_best = rank_and_recombine(y, z, problem.evaluate_population(x), sp)
+        p_sigma, p_c, h_sigma, norm2 = update_paths(p_sigma, p_c, t, dy, dz, sp)
+        t += 1
+        m, sigma, C = cma_candidate_update(m, sigma, C, norm2, p_c, h_sigma, dy, y_best, sp)
 
         exact = (
             exact
-            and np.array_equal(opt.mean, params.m)
-            and opt.sigma == params.sigma
-            and np.array_equal(opt.params.C, params.C)
+            and np.array_equal(opt.mean, m)
+            and opt.sigma == sigma
+            and np.array_equal(opt.params.C, C)
         )
     report(
         8,

@@ -184,6 +184,8 @@ class TestRunCommand:
             ["--noise-var", "nan"],
             ["--gamma", "inf"],
             ["--jobs", "-3"],
+            ["--history-every", "0"],
+            ["--log-every", "-2"],
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, tmp_path, flags):

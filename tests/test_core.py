@@ -7,17 +7,22 @@ import pytest
 
 from lracma.core import (
     DistributionParams,
-    EvaluatedPopulation,
-    EvolutionPaths,
     StrategyParams,
     cma_candidate_update,
     default_strategy_params,
     rank_and_recombine,
+    ranking,
     sample_population,
     update_paths,
 )
-from lracma.errors import InvalidFitnessError, NumericalError
-from lracma.linalg import sym_sqrt
+from lracma.errors import InvalidFitnessError
+from lracma.lra import LraCmaEs
+
+
+def sym_sqrt(a):
+    """Symmetric square root through an eigendecomposition."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.sqrt(w)) @ v.T
 
 
 def make_strategy(d, lam, weights, **overrides):
@@ -93,120 +98,106 @@ class TestSamplePopulation:
     def test_identity_transform(self):
         # C = I, m = 0, sigma = 1 leaves z untouched
         sp = default_strategy_params(4)
-        params = DistributionParams(m=np.zeros(4), sigma=1.0, C=np.eye(4))
-        pop = sample_population(params, sp, np.random.default_rng(0))
-        assert np.array_equal(pop.x, pop.z)
-        assert np.array_equal(pop.y, pop.z)
+        x, y, z = sample_population(np.zeros(4), 1.0, np.eye(4), sp, np.random.default_rng(0))
+        assert np.array_equal(x, z)
+        assert np.array_equal(y, z)
 
     def test_construction_identities(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5))
-        C = a @ a.T + 5 * np.eye(5)
-        params = DistributionParams(m=rng.standard_normal(5), sigma=1.7, C=C)
+        root = sym_sqrt(a @ a.T + 5 * np.eye(5))
+        m = rng.standard_normal(5)
         sp = default_strategy_params(5)
-        pop = sample_population(params, sp, np.random.default_rng(1))
-        root = sym_sqrt(C)
+        x, y, z = sample_population(m, 1.7, root, sp, np.random.default_rng(1))
         # x_i = m + sigma y_i and y_i = sqrt(C) z_i, exactly as constructed
-        assert np.array_equal(pop.y, pop.z @ root.T)
-        assert np.array_equal(pop.x, params.m + params.sigma * pop.y)
+        assert np.array_equal(y, z @ root.T)
+        assert np.array_equal(x, m + 1.7 * y)
 
     def test_sqrt_of_scaled_identity(self):
-        # sqrt(4 I) z = 2 z, hand value
-        assert np.array_equal(sym_sqrt(4.0 * np.eye(2)) @ [1.0, 0.0], [2.0, 0.0])
+        # the optimizer's root of C = 4 I doubles every z, hand value
+        opt = LraCmaEs(np.zeros(2), 1.0, cov=4.0 * np.eye(2), seed=0)
+        z = np.random.default_rng(0).standard_normal((opt.strategy.lam, 2))
+        assert np.array_equal(opt.ask(), 2.0 * z)
 
     def test_empirical_covariance_matches(self):
         # Monte-Carlo oracle: sample covariance of x reproduces sigma^2 C
         sp = default_strategy_params(2, 100_000)
         C = np.diag([1.0, 4.0])
-        params = DistributionParams(m=np.zeros(2), sigma=1.0, C=C)
-        pop = sample_population(params, sp, np.random.default_rng(7))
-        emp = np.cov(pop.x.T, bias=True)
+        x, _, _ = sample_population(np.zeros(2), 1.0, sym_sqrt(C), sp, np.random.default_rng(7))
+        emp = np.cov(x.T, bias=True)
         scale = np.sqrt(np.outer(np.diag(C), np.diag(C)))
         assert np.all(np.abs(emp - C) <= 0.05 * scale)
 
     def test_seed_determinism(self):
         sp = default_strategy_params(6)
-        params = DistributionParams(m=np.ones(6), sigma=0.5, C=np.eye(6))
-        a = sample_population(params, sp, np.random.default_rng(42))
-        b = sample_population(params, sp, np.random.default_rng(42))
-        assert np.array_equal(a.x, b.x)
-
-    def test_nonfinite_covariance_raises(self):
-        sp = default_strategy_params(2)
-        C = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        params = DistributionParams(m=np.zeros(2), sigma=1.0, C=np.eye(2))
-        object.__setattr__(params, "C", C)
-        with pytest.raises(NumericalError):
-            sample_population(params, sp, np.random.default_rng(0))
-
-
-def evaluated(sp, y, fitness):
-    """Population with given y rows (x, z unused by the consumers under test)."""
-    y = np.asarray(y, dtype=float)
-    return EvaluatedPopulation(
-        x=y.copy(), y=y, z=y.copy(), fitness=np.asarray(fitness, dtype=float)
-    )
+        a = sample_population(np.ones(6), 0.5, np.eye(6), sp, np.random.default_rng(42))
+        b = sample_population(np.ones(6), 0.5, np.eye(6), sp, np.random.default_rng(42))
+        assert np.array_equal(a[0], b[0])
 
 
 class TestRankAndRecombine:
+    @staticmethod
+    def recombine(sp, y, fitness):
+        """rank_and_recombine with given y rows (z = y; z only feeds dz)."""
+        y = np.asarray(y, dtype=float)
+        return rank_and_recombine(y, y.copy(), np.asarray(fitness, dtype=float), sp)
+
     def test_equal_steps_recombine_to_themselves(self):
         sp = default_strategy_params(3)
         v = np.array([1.0, -2.0, 0.5])
-        pop = evaluated(sp, np.tile(v, (sp.lam, 1)), np.arange(sp.lam, dtype=float))
-        dy, dz = rank_and_recombine(pop, sp)
+        dy, _, _ = self.recombine(sp, np.tile(v, (sp.lam, 1)), np.arange(sp.lam, dtype=float))
         assert dy == pytest.approx(v, rel=1e-15)
 
     def test_hand_weighted_average(self):
         sp = make_strategy(2, 4, [0.75, 0.25])
         y = [[0.0, 4.0], [4.0, 0.0], [9.0, 9.0], [8.0, 8.0]]
         fitness = [2.0, 1.0, 5.0, 4.0]  # ranks rows 1, 0 into the parent set
-        dy, dz = rank_and_recombine(evaluated(sp, y, fitness), sp)
+        dy, _, y_best = self.recombine(sp, y, fitness)
         assert np.array_equal(dy, [3.0, 1.0])
+        assert np.array_equal(y_best, [[4.0, 0.0], [0.0, 4.0]])
 
     def test_sample_order_is_irrelevant(self):
         sp = default_strategy_params(4)
         rng = np.random.default_rng(5)
         y = rng.standard_normal((sp.lam, 4))
         fitness = rng.standard_normal(sp.lam)
-        dy, _ = rank_and_recombine(evaluated(sp, y, fitness), sp)
+        dy, _, _ = self.recombine(sp, y, fitness)
         perm = rng.permutation(sp.lam)
-        dy_p, _ = rank_and_recombine(evaluated(sp, y[perm], fitness[perm]), sp)
+        dy_p, _, _ = self.recombine(sp, y[perm], fitness[perm])
         assert np.array_equal(dy, dy_p)
 
     def test_ties_break_by_sample_index(self):
-        sp = make_strategy(1, 4, [0.75, 0.25])
-        pop = evaluated(sp, [[1.0], [2.0], [3.0], [4.0]], [7.0, 3.0, 3.0, 3.0])
-        assert list(pop.ranking()) == [1, 2, 3, 0]
+        assert list(ranking(np.array([7.0, 3.0, 3.0, 3.0]))) == [1, 2, 3, 0]
 
     def test_nonfinite_fitness_rejected(self):
         sp = default_strategy_params(2)
-        y = np.zeros((sp.lam, 2))
         f = np.zeros(sp.lam)
         f[3] = np.nan
         with pytest.raises(InvalidFitnessError):
-            rank_and_recombine(evaluated(sp, y, f), sp)
+            self.recombine(sp, np.zeros((sp.lam, 2)), f)
 
 
 class TestUpdatePaths:
     def test_zero_path_zero_step(self):
         sp = default_strategy_params(5)
-        paths, h = update_paths(EvolutionPaths.zero(5), np.zeros(5), np.zeros(5), sp)
-        assert np.array_equal(paths.p_sigma, np.zeros(5))
-        assert h == 1 and paths.t == 1
+        zero = np.zeros(5)
+        p_sigma, _, h, norm2 = update_paths(zero, zero, 0, zero, zero, sp)
+        assert np.array_equal(p_sigma, np.zeros(5))
+        assert h == 1 and norm2 == 0.0
 
     def test_first_step_scaling(self):
         sp = default_strategy_params(5)
         u = np.arange(5.0)
-        paths, _ = update_paths(EvolutionPaths.zero(5), np.zeros(5), u, sp)
+        p_sigma, _, _, norm2 = update_paths(np.zeros(5), np.zeros(5), 0, np.zeros(5), u, sp)
         scale = math.sqrt(sp.c_sigma * (2 - sp.c_sigma) * sp.mu_w)
-        assert np.array_equal(paths.p_sigma, scale * u)
+        assert np.array_equal(p_sigma, scale * u)
+        assert norm2 == float(p_sigma @ p_sigma)
 
     def test_stalled_indicator_blocks_dy(self):
         sp = default_strategy_params(5)
-        huge = EvolutionPaths(p_sigma=np.full(5, 1e6), p_c=np.ones(5), t=3)
-        paths, h = update_paths(huge, np.ones(5), np.zeros(5), sp)
+        _, p_c, h, _ = update_paths(np.full(5, 1e6), np.ones(5), 3, np.ones(5), np.zeros(5), sp)
         assert h == 0
-        assert np.array_equal(paths.p_c, (1 - sp.c_c) * huge.p_c)
+        assert np.array_equal(p_c, (1 - sp.c_c) * np.ones(5))
 
     def test_indicator_threshold(self):
         sp = default_strategy_params(4)
@@ -216,108 +207,98 @@ class TestUpdatePaths:
         norm_at_limit = math.sqrt(limit * (1 - (1 - sp.c_sigma) ** 2))
         e = np.zeros(4)
         e[0] = 1.0
-        _, h_below = update_paths(
-            EvolutionPaths.zero(4), np.zeros(4), 0.99 * norm_at_limit / scale * e, sp
-        )
-        _, h_above = update_paths(
-            EvolutionPaths.zero(4), np.zeros(4), 1.01 * norm_at_limit / scale * e, sp
-        )
+        zero = np.zeros(4)
+        _, _, h_below, _ = update_paths(zero, zero, 0, zero, 0.99 * norm_at_limit / scale * e, sp)
+        _, _, h_above, _ = update_paths(zero, zero, 0, zero, 1.01 * norm_at_limit / scale * e, sp)
         assert (h_below, h_above) == (1, 0)
 
 
 class TestCandidateUpdate:
-    def setup_pop(self, sp, y, fitness=None):
-        if fitness is None:
-            fitness = np.arange(sp.lam, dtype=float)
-        return evaluated(sp, y, fitness)
+    @staticmethod
+    def update(sp, m, sigma, C, p_sigma, p_c, h, dy, y_best):
+        return cma_candidate_update(
+            m, sigma, C, float(p_sigma @ p_sigma), p_c, h, dy, np.asarray(y_best, dtype=float), sp
+        )
 
     def test_neutral_sigma_when_path_norm_is_chi(self):
         sp = default_strategy_params(3)
-        params = DistributionParams(m=np.zeros(3), sigma=0.7, C=np.eye(3))
-        paths = EvolutionPaths(p_sigma=np.array([sp.chi_d, 0, 0]), p_c=np.zeros(3), t=1)
-        pop = self.setup_pop(sp, np.zeros((sp.lam, 3)))
-        out = cma_candidate_update(params, paths, 1, np.zeros(3), pop, sp)
-        assert out.sigma == pytest.approx(params.sigma, rel=1e-15)
+        p_sigma = np.array([sp.chi_d, 0, 0])
+        _, sigma, _ = self.update(
+            sp, np.zeros(3), 0.7, np.eye(3), p_sigma, np.zeros(3), 1, np.zeros(3),
+            np.zeros((sp.mu, 3)),
+        )
+        assert sigma == pytest.approx(0.7, rel=1e-15)
 
     def test_sigma_growth_clamped_at_e(self):
         sp = default_strategy_params(3)
-        params = DistributionParams(m=np.zeros(3), sigma=0.7, C=np.eye(3))
-        paths = EvolutionPaths(p_sigma=np.full(3, 1e9), p_c=np.zeros(3), t=1)
-        pop = self.setup_pop(sp, np.zeros((sp.lam, 3)))
-        out = cma_candidate_update(params, paths, 1, np.zeros(3), pop, sp)
-        assert out.sigma == params.sigma * math.e
+        _, sigma, _ = self.update(
+            sp, np.zeros(3), 0.7, np.eye(3), np.full(3, 1e9), np.zeros(3), 1, np.zeros(3),
+            np.zeros((sp.mu, 3)),
+        )
+        assert sigma == 0.7 * math.e
 
     def test_mean_moves_by_scaled_dy(self):
         sp = default_strategy_params(2)
-        params = DistributionParams(m=np.array([1.0, 2.0]), sigma=0.5, C=np.eye(2))
-        paths = EvolutionPaths(p_sigma=np.zeros(2), p_c=np.zeros(2), t=1)
+        m = np.array([1.0, 2.0])
         dy = np.array([2.0, -4.0])
-        pop = self.setup_pop(sp, np.zeros((sp.lam, 2)))
-        out = cma_candidate_update(params, paths, 1, dy, pop, sp)
-        assert np.array_equal(out.m, params.m + sp.c_m * params.sigma * dy)
+        m_new, _, _ = self.update(
+            sp, m, 0.5, np.eye(2), np.zeros(2), np.zeros(2), 1, dy, np.zeros((sp.mu, 2))
+        )
+        assert np.array_equal(m_new, m + sp.c_m * 0.5 * dy)
 
     def test_fixed_point_in_one_dimension(self):
         # dy = 0, every ranked y y^T = C, and p_c p_c^T = C leave C unchanged
         sp = make_strategy(1, 4, [0.5, 0.5])
-        params = DistributionParams(m=np.zeros(1), sigma=1.0, C=np.eye(1))
-        paths = EvolutionPaths(p_sigma=np.zeros(1), p_c=np.ones(1), t=1)
-        pop = self.setup_pop(sp, [[1.0], [-1.0], [2.0], [3.0]])
-        out = cma_candidate_update(params, paths, 1, np.zeros(1), pop, sp)
-        assert np.array_equal(out.m, params.m)
-        assert np.array_equal(out.C, params.C)
+        m_new, _, C_new = self.update(
+            sp, np.zeros(1), 1.0, np.eye(1), np.zeros(1), np.ones(1), 1, np.zeros(1),
+            [[1.0], [-1.0]],
+        )
+        assert np.array_equal(m_new, np.zeros(1))
+        assert np.array_equal(C_new, np.eye(1))
 
     def test_zero_rank_one_path_shrinks_by_c1(self):
         # With p_c = 0 the rank-one term subtracts c_1 C even when the
         # rank-mu term is neutral; C' = (1 - c_1) C.
         sp = make_strategy(1, 4, [0.5, 0.5])
-        params = DistributionParams(m=np.zeros(1), sigma=1.0, C=np.eye(1))
-        paths = EvolutionPaths(p_sigma=np.zeros(1), p_c=np.zeros(1), t=1)
-        pop = self.setup_pop(sp, [[1.0], [-1.0], [2.0], [3.0]])
-        out = cma_candidate_update(params, paths, 1, np.zeros(1), pop, sp)
-        assert out.C[0, 0] == pytest.approx(1 - sp.c_1, rel=1e-15)
+        _, _, C_new = self.update(
+            sp, np.zeros(1), 1.0, np.eye(1), np.zeros(1), np.zeros(1), 1, np.zeros(1),
+            [[1.0], [-1.0]],
+        )
+        assert C_new[0, 0] == pytest.approx(1 - sp.c_1, rel=1e-15)
 
     def test_matches_literal_formula(self):
         # independent transcription of the covariance update, looped per term
         sp = default_strategy_params(4)
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 4))
-        params = DistributionParams(
-            m=rng.standard_normal(4), sigma=1.3, C=a @ a.T + 4 * np.eye(4)
-        )
-        pop = sample_population(params, sp, rng)
-        pop.fitness = rng.standard_normal(sp.lam)
-        dy, dz = rank_and_recombine(pop, sp)
+        m, sigma, C = rng.standard_normal(4), 1.3, a @ a.T + 4 * np.eye(4)
+        _, y, z = sample_population(m, sigma, sym_sqrt(C), sp, rng)
+        fitness = rng.standard_normal(sp.lam)
+        dy, _, y_best = rank_and_recombine(y, z, fitness, sp)
         for forced_h in (0, 1):
-            paths = EvolutionPaths(
-                p_sigma=rng.standard_normal(4), p_c=rng.standard_normal(4), t=2
-            )
-            out = cma_candidate_update(params, paths, forced_h, dy, pop, sp)
-            expected = (1 + (1 - forced_h) * sp.c_1 * sp.c_c * (2 - sp.c_c)) * params.C
-            expected = expected + sp.c_1 * (
-                np.outer(paths.p_c, paths.p_c) - params.C
-            )
-            order = pop.ranking()
+            p_sigma, p_c = rng.standard_normal(4), rng.standard_normal(4)
+            _, _, C_new = self.update(sp, m, sigma, C, p_sigma, p_c, forced_h, dy, y_best)
+            expected = (1 + (1 - forced_h) * sp.c_1 * sp.c_c * (2 - sp.c_c)) * C
+            expected = expected + sp.c_1 * (np.outer(p_c, p_c) - C)
+            order = ranking(fitness)
             acc = np.zeros((4, 4))
             for i in range(sp.mu):
-                yi = pop.y[order[i]]
-                acc = acc + sp.weights[i] * (np.outer(yi, yi) - params.C)
+                yi = y[order[i]]
+                acc = acc + sp.weights[i] * (np.outer(yi, yi) - C)
             expected = expected + sp.c_mu * acc
-            assert out.C == pytest.approx((expected + expected.T) / 2, rel=1e-12)
-            assert np.array_equal(out.C, out.C.T)
+            assert C_new == pytest.approx((expected + expected.T) / 2, rel=1e-12)
+            assert np.array_equal(C_new, C_new.T)
 
     def test_symmetry_is_exact(self):
         sp = default_strategy_params(6)
         rng = np.random.default_rng(2)
         a = rng.standard_normal((6, 6))
-        params = DistributionParams(
-            m=np.zeros(6), sigma=1.0, C=a @ a.T + 6 * np.eye(6)
-        )
-        pop = sample_population(params, sp, rng)
-        pop.fitness = rng.standard_normal(sp.lam)
-        dy, dz = rank_and_recombine(pop, sp)
-        paths, h = update_paths(EvolutionPaths.zero(6), dy, dz, sp)
-        out = cma_candidate_update(params, paths, h, dy, pop, sp)
-        assert np.max(np.abs(out.C - out.C.T)) == 0.0
+        C = a @ a.T + 6 * np.eye(6)
+        _, y, z = sample_population(np.zeros(6), 1.0, sym_sqrt(C), sp, rng)
+        dy, dz, y_best = rank_and_recombine(y, z, rng.standard_normal(sp.lam), sp)
+        _, p_c, h, norm2 = update_paths(np.zeros(6), np.zeros(6), 0, dy, dz, sp)
+        _, _, C_new = cma_candidate_update(np.zeros(6), 1.0, C, norm2, p_c, h, dy, y_best, sp)
+        assert np.max(np.abs(C_new - C_new.T)) == 0.0
 
 
 def test_plain_cma_solves_sphere():

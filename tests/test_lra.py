@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lracma.core import (
-    DistributionParams,
-    EvolutionPaths,
     cma_candidate_update,
     default_strategy_params,
     rank_and_recombine,
@@ -17,11 +15,9 @@ from lracma.core import (
     update_paths,
 )
 from lracma.errors import InvalidFitnessError, NumericalError, SingularMetricError
-from lracma.linalg import sqrt_from_eigh
 from lracma.lra import (
-    DeltaPair,
+    EIG_FLOOR,
     LraCmaEs,
-    LraComponentState,
     LraHyperParams,
     adapt_learning_rate,
     apply_blended_update,
@@ -42,40 +38,36 @@ def random_spd(d, rng, scale=1.0):
 
 class TestComputeDeltas:
     def test_identical_params_give_zero(self):
-        p = DistributionParams(m=np.ones(3), sigma=2.0, C=np.eye(3))
-        dp = compute_deltas(p, p)
-        assert np.array_equal(dp.delta_m, np.zeros(3))
-        assert np.array_equal(dp.delta_sigma, np.zeros(9))
+        cov = 4.0 * np.eye(3)
+        delta_m, delta_sigma = compute_deltas(np.ones(3), cov, np.ones(3), cov)
+        assert np.array_equal(delta_m, np.zeros(3))
+        assert np.array_equal(delta_sigma, np.zeros(9))
 
     def test_doubling_covariance(self):
-        old = DistributionParams(m=np.zeros(2), sigma=1.0, C=np.eye(2))
-        new = DistributionParams(m=np.zeros(2), sigma=1.0, C=2.0 * np.eye(2))
-        dp = compute_deltas(old, new)
-        assert np.array_equal(dp.delta_sigma, np.eye(2).ravel())
+        _, delta_sigma = compute_deltas(np.zeros(2), np.eye(2), np.zeros(2), 2.0 * np.eye(2))
+        assert np.array_equal(delta_sigma, np.eye(2).ravel())
 
     def test_sigma_c_tradeoff_cancels(self):
         # (sigma=2, C=I) and (sigma=1, C=4I) describe the same Sigma
-        old = DistributionParams(m=np.zeros(2), sigma=2.0, C=np.eye(2))
-        new = DistributionParams(m=np.zeros(2), sigma=1.0, C=4.0 * np.eye(2))
-        assert np.array_equal(compute_deltas(old, new).delta_sigma, np.zeros(4))
+        old, new = 2.0**2 * np.eye(2), 1.0**2 * (4.0 * np.eye(2))
+        assert np.array_equal(compute_deltas(np.zeros(2), old, np.zeros(2), new)[1], np.zeros(4))
 
     def test_dimension_mismatch(self):
-        a = DistributionParams(m=np.zeros(2), sigma=1.0, C=np.eye(2))
-        b = DistributionParams(m=np.zeros(3), sigma=1.0, C=np.eye(3))
         with pytest.raises(ValueError):
-            compute_deltas(a, b)
+            compute_deltas(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3))
 
 
 class TestLocalCoordinates:
     def test_identity_metric_is_a_noop_up_to_scaling(self):
-        dp = DeltaPair(delta_m=np.array([1.0, -2.0]), delta_sigma=np.arange(4.0))
-        tilde_m, tilde_sigma = to_local_coordinates(dp, np.ones(2), np.eye(2))
-        assert np.array_equal(tilde_m, dp.delta_m)
-        assert np.array_equal(tilde_sigma, math.sqrt(0.5) * dp.delta_sigma)
+        delta_m, delta_sigma = np.array([1.0, -2.0]), np.arange(4.0)
+        tilde_m, tilde_sigma = to_local_coordinates(delta_m, delta_sigma, np.ones(2), np.eye(2))
+        assert np.array_equal(tilde_m, delta_m)
+        assert np.array_equal(tilde_sigma, math.sqrt(0.5) * delta_sigma)
 
     def test_isotropic_metric_hand_value(self):
-        dp = DeltaPair(delta_m=np.array([2.0, 0.0]), delta_sigma=np.zeros(4))
-        tilde_m, _ = to_local_coordinates(dp, np.full(2, 4.0), np.eye(2))
+        tilde_m, _ = to_local_coordinates(
+            np.array([2.0, 0.0]), np.zeros(4), np.full(2, 4.0), np.eye(2)
+        )
         assert np.array_equal(tilde_m, [1.0, 0.0])
 
     def test_mean_norm_equals_quadratic_form(self):
@@ -84,8 +76,7 @@ class TestLocalCoordinates:
         for _ in range(20):
             cov = random_spd(5, rng)
             delta = rng.standard_normal(5)
-            dp = DeltaPair(delta_m=delta, delta_sigma=np.zeros(25))
-            tilde_m, _ = to_local_coordinates(dp, *np.linalg.eigh(cov))
+            tilde_m, _ = to_local_coordinates(delta, np.zeros(25), *np.linalg.eigh(cov))
             expected = float(delta @ np.linalg.solve(cov, delta))
             assert float(tilde_m @ tilde_m) == pytest.approx(expected, rel=1e-10)
 
@@ -95,63 +86,58 @@ class TestLocalCoordinates:
         for _ in range(10):
             cov = random_spd(4, rng)
             D = random_spd(4, rng) - random_spd(4, rng)
-            dp = DeltaPair(delta_m=np.zeros(4), delta_sigma=D.ravel())
-            _, tilde_sigma = to_local_coordinates(dp, *np.linalg.eigh(cov))
+            _, tilde_sigma = to_local_coordinates(np.zeros(4), D.ravel(), *np.linalg.eigh(cov))
             inv = np.linalg.inv(cov)
             expected = 0.5 * float(np.trace(inv @ D @ inv @ D))
             assert float(tilde_sigma @ tilde_sigma) == pytest.approx(expected, rel=1e-9)
 
     def test_singular_metric_raises(self):
-        dp = DeltaPair(delta_m=np.zeros(2), delta_sigma=np.zeros(4))
         with pytest.raises(SingularMetricError):
-            to_local_coordinates(dp, np.array([0.0, 1.0]), np.eye(2))
+            to_local_coordinates(np.zeros(2), np.zeros(4), np.array([0.0, 1.0]), np.eye(2))
 
 
 class TestSnrState:
     def test_first_update_from_zero(self):
         u = np.array([3.0, 4.0])
-        state = update_snr_state(LraComponentState.initial(2), u, beta=0.1)
-        assert np.array_equal(state.E, 0.1 * u)
-        assert state.V == 0.1 * 25.0
+        E, V = update_snr_state(np.zeros(2), 0.0, u, beta=0.1)
+        assert np.array_equal(E, 0.1 * u)
+        assert V == 0.1 * 25.0
 
     def test_zero_stream_decays_geometrically(self):
-        state = LraComponentState(eta=1.0, E=np.array([1.0, 0.0]), V=2.0)
+        E, V = np.array([1.0, 0.0]), 2.0
         for n in range(1, 30):
-            state = update_snr_state(state, np.zeros(2), beta=0.1)
-            assert state.E[0] == pytest.approx(0.9**n, rel=1e-12)
-            assert state.V == pytest.approx(2.0 * 0.9**n, rel=1e-12)
+            E, V = update_snr_state(E, V, np.zeros(2), beta=0.1)
+            assert E[0] == pytest.approx(0.9**n, rel=1e-12)
+            assert V == pytest.approx(2.0 * 0.9**n, rel=1e-12)
 
     def test_constant_stream_converges(self):
         # geometric series oracle: E -> u and V -> |u|^2 within (1-beta)^n
         beta, n = 0.1, 300
         u = np.array([1.0, -0.5, 2.0])
-        state = LraComponentState.initial(3)
+        E, V = np.zeros(3), 0.0
         for _ in range(n):
-            state = update_snr_state(state, u, beta)
+            E, V = update_snr_state(E, V, u, beta)
         residual = (1 - beta) ** n
-        assert np.all(np.abs(state.E - u) <= np.abs(u) * residual + 1e-15)
-        assert abs(state.V - float(u @ u)) <= float(u @ u) * residual + 1e-15
+        assert np.all(np.abs(E - u) <= np.abs(u) * residual + 1e-15)
+        assert abs(V - float(u @ u)) <= float(u @ u) * residual + 1e-15
 
 
 class TestEstimateSnr:
     def test_zero_numerator(self):
         beta = 0.1
-        state = LraComponentState(eta=1.0, E=np.array([1.0]), V=(2 - beta) / beta)
-        assert abs(estimate_snr(state, beta)) < 1e-14
+        assert abs(estimate_snr(np.array([1.0]), (2 - beta) / beta, beta)) < 1e-14
 
     def test_hand_value(self):
-        state = LraComponentState(eta=1.0, E=np.array([1.0, 0.0]), V=2.0)
-        assert estimate_snr(state, 0.1) == pytest.approx(17.0 / 19.0, rel=1e-12)
+        snr = estimate_snr(np.array([1.0, 0.0]), 2.0, 0.1)
+        assert snr == pytest.approx(17.0 / 19.0, rel=1e-12)
 
     def test_degenerate_denominator_signals_inf(self):
-        assert estimate_snr(LraComponentState.initial(3), 0.1) == math.inf
-        state = LraComponentState(eta=1.0, E=np.array([2.0]), V=1.0)
-        assert estimate_snr(state, 0.1) == math.inf
+        assert estimate_snr(np.zeros(3), 0.0, 0.1) == math.inf
+        assert estimate_snr(np.array([2.0]), 1.0, 0.1) == math.inf
 
     def test_negative_numerator_passes_through(self):
         # |E|^2 below the bias correction: a negative but finite estimate
-        state = LraComponentState(eta=1.0, E=np.array([0.1]), V=1.0)
-        snr = estimate_snr(state, 0.1)
+        snr = estimate_snr(np.array([0.1]), 1.0, 0.1)
         assert snr < 0 and math.isfinite(snr)
 
     def test_iid_stream_oracle(self):
@@ -161,17 +147,17 @@ class TestEstimateSnr:
         mu = np.zeros(d)
         mu[0] = 1.0
         rng = np.random.default_rng(123)
-        state = LraComponentState.initial(d)
+        E, V = np.zeros(d), 0.0
         for _ in range(int(50 / beta)):
-            state = update_snr_state(state, mu + rng.standard_normal(d), beta)
+            E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
         snr_sum = 0.0
         signal_sum = 0.0
         n = 10_000
         for _ in range(n):
-            state = update_snr_state(state, mu + rng.standard_normal(d), beta)
-            snr_sum += estimate_snr(state, beta)
-            e2 = float(state.E @ state.E)
-            signal_sum += (2 - beta) / (2 - 2 * beta) * e2 - beta / (2 - 2 * beta) * state.V
+            E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
+            snr_sum += estimate_snr(E, V, beta)
+            e2 = float(E @ E)
+            signal_sum += (2 - beta) / (2 - 2 * beta) * e2 - beta / (2 - 2 * beta) * V
         assert snr_sum / n == pytest.approx(1 / d, rel=0.10)
         assert signal_sum / n == pytest.approx(1.0, rel=0.10)
 
@@ -180,13 +166,13 @@ class TestEstimateSnr:
         beta, d, n = 0.1, 5, 10_000
         mu = np.array([1.0, 0, 0, 0, 0])
         rng = np.random.default_rng(77)
-        state = LraComponentState.initial(d)
+        E, V = np.zeros(d), 0.0
         for _ in range(500):
-            state = update_snr_state(state, mu + rng.standard_normal(d), beta)
+            E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
         samples = np.empty((n, d))
         for i in range(n):
-            state = update_snr_state(state, mu + rng.standard_normal(d), beta)
-            samples[i] = state.E
+            E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
+            samples[i] = E
         # effective sample size under EMA autocorrelation (1-beta)^|k|
         tau = (2 - beta) / beta
         se = samples.std(axis=0, ddof=1) * math.sqrt(tau / n)
@@ -243,38 +229,36 @@ class TestAdaptLearningRate:
 
 
 class TestApplyBlendedUpdate:
-    OLD = DistributionParams(m=np.array([1.0, 2.0]), sigma=1.0, C=np.eye(2))
+    M, COV = np.array([1.0, 2.0]), np.eye(2)
+
+    def blend(self, m_prop, cov_prop, eta_m, eta_sigma):
+        deltas = compute_deltas(self.M, self.COV, m_prop, cov_prop)
+        return apply_blended_update(self.M, self.COV, m_prop, cov_prop, *deltas, eta_m, eta_sigma)
 
     def test_full_step_returns_proposed_exactly(self):
-        proposed = DistributionParams(
-            m=np.array([1.5, 1.0]), sigma=1.2, C=np.array([[1.1, 0.1], [0.1, 0.9]])
-        )
-        dp = compute_deltas(self.OLD, proposed)
-        m_new, cov_new, (w, v), floored = apply_blended_update(
-            self.OLD, dp, 1.0, 1.0, proposed
-        )
-        assert m_new is proposed.m
-        assert np.array_equal(cov_new, proposed.covariance)
+        m_prop = np.array([1.5, 1.0])
+        cov_prop = 1.2**2 * np.array([[1.1, 0.1], [0.1, 0.9]])
+        m_new, cov_new, (w, v), floored = self.blend(m_prop, cov_prop, 1.0, 1.0)
+        assert m_new is m_prop
+        assert cov_new is cov_prop
         assert (v * w) @ v.T == pytest.approx(cov_new, rel=1e-12)
         assert not floored
 
     def test_null_step_returns_old(self):
-        dp = DeltaPair(delta_m=np.array([5.0, 5.0]), delta_sigma=np.full(4, 3.0))
-        m_new, cov_new, _, _ = apply_blended_update(self.OLD, dp, 0.0, 0.0)
-        assert np.array_equal(m_new, self.OLD.m)
-        assert np.array_equal(cov_new, self.OLD.covariance)
+        m_new, cov_new, _, _ = self.blend(np.array([6.0, 7.0]), 4.0 * np.eye(2), 0.0, 0.0)
+        assert np.array_equal(m_new, self.M)
+        assert np.array_equal(cov_new, self.COV)
 
     def test_half_step_on_covariance(self):
-        dp = DeltaPair(delta_m=np.zeros(2), delta_sigma=np.eye(2).ravel())
-        _, cov_new, (w, _), floored = apply_blended_update(self.OLD, dp, 1.0, 0.5)
+        _, cov_new, (w, _), floored = self.blend(self.M, 2.0 * np.eye(2), 1.0, 0.5)
         assert np.array_equal(cov_new, 1.5 * np.eye(2))
         assert w == pytest.approx([1.5, 1.5], rel=1e-14)
         assert not floored
 
     def test_indefinite_result_is_floored_with_warning(self, caplog):
-        dp = DeltaPair(delta_m=np.zeros(2), delta_sigma=np.diag([0.0, -1.5]).ravel())
+        # half of the step to diag(1, -2) lands on diag(1, -0.5)
         with caplog.at_level("WARNING", logger="lracma.lra"):
-            _, cov_new, (w, v), floored = apply_blended_update(self.OLD, dp, 1.0, 1.0)
+            _, cov_new, (w, v), floored = self.blend(self.M, np.diag([1.0, -2.0]), 1.0, 0.5)
         assert floored
         assert np.all(np.linalg.eigvalsh(cov_new) > 0)
         # the returned decomposition is the floored one
@@ -283,9 +267,9 @@ class TestApplyBlendedUpdate:
         assert any("positive definiteness" in r.message for r in caplog.records)
 
     def test_fully_collapsed_covariance_raises(self):
-        dp = DeltaPair(delta_m=np.zeros(2), delta_sigma=(-2.0 * np.eye(2)).ravel())
+        # half of the step to -3 I lands on -I
         with pytest.raises(NumericalError) as err:
-            apply_blended_update(self.OLD, dp, 1.0, 1.0)
+            self.blend(self.M, -3.0 * np.eye(2), 1.0, 0.5)
         assert err.value.reason == "nonpositive_determinant"
 
 
@@ -331,6 +315,21 @@ class TestCorrectStepSize:
 
     def test_hand_value(self):
         assert correct_step_size(1.0, 0.2, 0.5) == 0.4
+
+
+def sqrt_C(w, v):
+    """The optimizer's root of C from C's eigendecomposition."""
+    return (v * np.sqrt(np.maximum(w, EIG_FLOOR))) @ v.T
+
+
+# every field of the optimizer's state, its eigendecomposition cache included
+STATE = ("_m", "_sigma", "_C", "_p_sigma", "_p_c", "_t", "_E_m", "_V_m", "_eta_m",
+         "_E_sigma", "_V_sigma", "_eta_sigma", "_w_C", "_v_C", "_sqrt_C", "_floor_count")
+
+
+def state_bits(opt):
+    """The bytes of every state field, for bitwise before/after checks."""
+    return {name: np.asarray(getattr(opt, name)).tobytes() for name in STATE}
 
 
 def run_pairs(opt, problem, n, rng=None):
@@ -419,55 +418,49 @@ class TestOptimizer:
         adaptive = not kwargs
 
         mirror_rng = np.random.default_rng(21)
-        params = DistributionParams(
-            m=problem.init_m.astype(float), sigma=problem.init_sigma, C=np.eye(4)
-        )
-        paths = EvolutionPaths.zero(4)
-        state_m = LraComponentState(eta=kwargs.get("eta_m", 1.0), E=np.zeros(4), V=0.0)
-        state_s = LraComponentState(
-            eta=kwargs.get("eta_sigma", 1.0), E=np.zeros(16), V=0.0
-        )
-        w_c, v = np.linalg.eigh(params.C)
+        m, sigma, C = problem.init_m.astype(float), problem.init_sigma, np.eye(4)
+        p_sigma, p_c, t = np.zeros(4), np.zeros(4), 0
+        E_m, V_m, eta_m = np.zeros(4), 0.0, kwargs.get("eta_m", 1.0)
+        E_s, V_s, eta_s = np.zeros(16), 0.0, kwargs.get("eta_sigma", 1.0)
+        w_c, v = np.linalg.eigh(C)
 
         for _ in range(10):
             xs = opt.ask()
             fitness = problem.evaluate_population(xs)
             opt.tell(fitness)
 
-            pop = sample_population(params, sp, mirror_rng, sqrt_C=sqrt_from_eigh(w_c, v))
-            assert np.array_equal(pop.x, xs)
-            pop.fitness = problem.evaluate_population(pop.x)
-            best = pop.ranking()[: sp.mu]
-            dy, dz = rank_and_recombine(pop, sp, best)
-            paths, h = update_paths(paths, dy, dz, sp)
-            proposed = cma_candidate_update(params, paths, h, dy, pop, sp, best)
-            dp = compute_deltas(params, proposed)
-            eta_m_old = eta_m = state_m.eta
-            eta_s = state_s.eta
+            x, y, z = sample_population(m, sigma, sqrt_C(w_c, v), sp, mirror_rng)
+            assert np.array_equal(x, xs)
+            dy, dz, y_best = rank_and_recombine(y, z, problem.evaluate_population(x), sp)
+            p_sigma, p_c, h, norm2 = update_paths(p_sigma, p_c, t, dy, dz, sp)
+            t += 1
+            m_prop, sigma_prop, C_prop = cma_candidate_update(
+                m, sigma, C, norm2, p_c, h, dy, y_best, sp
+            )
+            cov, cov_prop = sigma**2 * C, sigma_prop**2 * C_prop
+            delta_m, delta_sigma = compute_deltas(m, cov, m_prop, cov_prop)
+            eta_m_old = eta_m
             if adaptive:
-                tm, ts = to_local_coordinates(dp, params.sigma**2 * w_c, v)
-                state_m = update_snr_state(state_m, tm, hp.beta_m)
-                state_s = update_snr_state(state_s, ts, hp.beta_sigma)
+                tm, ts = to_local_coordinates(delta_m, delta_sigma, sigma**2 * w_c, v)
+                E_m, V_m = update_snr_state(E_m, V_m, tm, hp.beta_m)
+                E_s, V_s = update_snr_state(E_s, V_s, ts, hp.beta_sigma)
                 eta_m = adapt_learning_rate(
-                    eta_m_old, estimate_snr(state_m, hp.beta_m), hp, hp.beta_m
+                    eta_m_old, estimate_snr(E_m, V_m, hp.beta_m), hp, hp.beta_m
                 )
                 eta_s = adapt_learning_rate(
-                    eta_s, estimate_snr(state_s, hp.beta_sigma), hp, hp.beta_sigma
+                    eta_s, estimate_snr(E_s, V_s, hp.beta_sigma), hp, hp.beta_sigma
                 )
-                state_m = LraComponentState(eta=eta_m, E=state_m.E, V=state_m.V)
-                state_s = LraComponentState(eta=eta_s, E=state_s.E, V=state_s.V)
-            m_new, cov_new, (w, v), _ = apply_blended_update(
-                params, dp, eta_m, eta_s, proposed
+            m, cov_new, (w, v), _ = apply_blended_update(
+                m, cov, m_prop, cov_prop, delta_m, delta_sigma, eta_m, eta_s
             )
-            sigma_new, C_new = decompose_sigma(cov_new, w)
-            w_c = w / sigma_new**2
+            sigma, C = decompose_sigma(cov_new, w)
+            w_c = w / sigma**2
             if adaptive:
-                sigma_new = correct_step_size(sigma_new, eta_m_old, eta_m)
-            params = DistributionParams(m=m_new, sigma=sigma_new, C=C_new)
+                sigma = correct_step_size(sigma, eta_m_old, eta_m)
 
-            assert np.array_equal(opt.mean, params.m)
-            assert opt.sigma == params.sigma
-            assert np.array_equal(opt.params.C, params.C)
+            assert np.array_equal(opt.mean, m)
+            assert opt.sigma == sigma
+            assert np.array_equal(opt.params.C, C)
             assert opt.eta_m == eta_m and opt.eta_sigma == eta_s
 
     def test_unit_eta_reduces_to_plain_update_plus_resplit(self):
@@ -485,31 +478,29 @@ class TestOptimizer:
         )
         sp = opt.strategy
         mirror_rng = np.random.default_rng(7)
-        params = DistributionParams(
-            m=problem.init_m.astype(float), sigma=problem.init_sigma, C=np.eye(5)
-        )
-        paths = EvolutionPaths.zero(5)
-        w_c, v = np.linalg.eigh(params.C)
+        m, sigma, C = problem.init_m.astype(float), problem.init_sigma, np.eye(5)
+        p_sigma, p_c, t = np.zeros(5), np.zeros(5), 0
+        w_c, v = np.linalg.eigh(C)
         for _ in range(100):
             xs = opt.ask()
             fitness = problem.evaluate_population(xs)
             opt.tell(fitness)
 
-            pop = sample_population(params, sp, mirror_rng, sqrt_C=sqrt_from_eigh(w_c, v))
-            pop.fitness = problem.evaluate_population(pop.x)
-            best = pop.ranking()[: sp.mu]
-            dy, dz = rank_and_recombine(pop, sp, best)
-            paths, h = update_paths(paths, dy, dz, sp)
-            proposed = cma_candidate_update(params, paths, h, dy, pop, sp, best)
-            plain_cov = proposed.covariance
+            x, y, z = sample_population(m, sigma, sqrt_C(w_c, v), sp, mirror_rng)
+            dy, dz, y_best = rank_and_recombine(y, z, problem.evaluate_population(x), sp)
+            p_sigma, p_c, h, norm2 = update_paths(p_sigma, p_c, t, dy, dz, sp)
+            t += 1
+            m, sigma_prop, C_prop = cma_candidate_update(
+                m, sigma, C, norm2, p_c, h, dy, y_best, sp
+            )
+            plain_cov = sigma_prop**2 * C_prop
             w, v = np.linalg.eigh(plain_cov)
-            sigma_new, C_new = decompose_sigma(plain_cov, w)
-            w_c = w / sigma_new**2
-            params = DistributionParams(m=proposed.m, sigma=sigma_new, C=C_new)
+            sigma, C = decompose_sigma(plain_cov, w)
+            w_c = w / sigma**2
 
-            assert np.array_equal(opt.mean, params.m)
-            assert opt.sigma == params.sigma
-            assert np.array_equal(opt.params.C, params.C)
+            assert np.array_equal(opt.mean, m)
+            assert opt.sigma == sigma
+            assert np.array_equal(opt.params.C, C)
             # the re-split changes the sigma/C factorization, not Sigma
             assert opt.params.covariance == pytest.approx(plain_cov, rel=1e-12)
 
@@ -570,13 +561,35 @@ class TestOptimizer:
         problem = make_problem("sphere", 4)
         opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=4)
         run_pairs(opt, problem, 3)
-        params, t, etas = opt.params, opt.t, (opt.eta_m, opt.eta_sigma)
         fitness = problem.evaluate_population(opt.ask())
         fitness[1] = np.nan
+        before = state_bits(opt)
         with pytest.raises(InvalidFitnessError):
             opt.tell(fitness)
-        assert opt.params is params and opt.t == t
-        assert (opt.eta_m, opt.eta_sigma) == etas
+        assert state_bits(opt) == before
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"lr_mode": "fixed", "eta_m": 0.5, "eta_sigma": 0.2}, {"lr_mode": "plain"}],
+        ids=["adaptive", "fixed_blend", "plain"],
+    )
+    def test_late_failure_changes_no_state(self, monkeypatch, kwargs):
+        # the generation's eigh runs after ranking, paths and the CMA
+        # proposal; when it fails, tell() must leave every state field as is
+        problem = make_problem("ellipsoid", 4)
+        opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=6, **kwargs)
+        run_pairs(opt, problem, 5)
+        fitness = problem.evaluate_population(opt.ask())
+        before = state_bits(opt)
+
+        def failing(*args, **kw):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalError) as err:
+            opt.tell(fitness)
+        assert err.value.reason == "eigh_failed"
+        assert state_bits(opt) == before
 
     def test_fixed_mode_keeps_eta_pinned(self):
         problem = make_problem("sphere", 5)
