@@ -390,9 +390,9 @@ def cmd_run(args) -> int:
 
     try:
         if args.trials < 1:
-            raise ValueError("--trials must be at least 1")
+            raise ValueError("--trials: must be at least 1")
         if args.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError("--seed: must be nonnegative")
         if args.history_every < 1:
             raise ValueError("--history-every: must be at least 1")
         if args.log_every < 0:

@@ -5,7 +5,15 @@ reaches the target, the evaluation budget is spent, or the numerical-error
 stop fires.  Success is always judged on noiseless f(m), also for noisy
 problems.  f(m) is checked once per generation, right after the parameter
 update, so ``evals_to_target`` is always a multiple of lambda (0 when the
-initial mean is already below the target).
+initial mean is already below the target).  A `TrialResult` stores the
+evaluations spent and the termination; ``success`` and ``evals_to_target``
+are read off those two.
+
+The history keeps one row per recorded generation: the generation's
+`IterationStats` followed by its noiseless f(m), so the stats tuple owns
+the column layout.  Row t = 0 is the starting state, then every
+``history_every``-th generation and the one that ends the trial; a
+``tell()`` that raises adds no row.
 
 The numerical-error stop is triggered by any of: the largest coordinate
 standard deviation sigma * sqrt(max eig C) dropping below 1e-16, the
@@ -33,7 +41,7 @@ import numpy as np
 
 from .core import default_population_size
 from .errors import InvalidFitnessError, NumericalError
-from .lra import LraCmaEs, LraHyperParams
+from .lra import IterationStats, LraCmaEs, LraHyperParams
 from .problems import Problem
 
 TERM_TARGET = "target_hit"
@@ -55,7 +63,10 @@ KAPPA_LIMIT = 4e6
 FLOOR_RATE_LIMIT = 0.01
 FLOOR_RATE_MIN_STEPS = 100
 
-HISTORY_COLUMNS = (
+# An in-memory history row is a generation's IterationStats and its f(m).
+HISTORY_COLUMNS = IterationStats._fields + ("f_m",)
+# The documented file schema; det_c and floored stay in memory.
+HISTORY_CSV_COLUMNS = (
     "t",
     "evals",
     "f_m",
@@ -66,10 +77,7 @@ HISTORY_COLUMNS = (
     "snr_sigma",
     "eig_min",
     "eig_max",
-    "det_c",
 )
-# det_c is an in-memory diagnostic; files carry the documented schema.
-HISTORY_CSV_COLUMNS = HISTORY_COLUMNS[:-1]
 
 RESULTS_CSV_COLUMNS = (
     "problem",
@@ -88,8 +96,8 @@ RESULTS_CSV_COLUMNS = (
 class History:
     """Columnar per-iteration trace with the columns in HISTORY_COLUMNS."""
 
-    def __init__(self, capacity: int = 256):
-        self._data = np.empty((max(capacity, 16), len(HISTORY_COLUMNS)))
+    def __init__(self):
+        self._data = np.empty((256, len(HISTORY_COLUMNS)))
         self._n = 0
 
     def append(self, row: Tuple[float, ...]) -> None:
@@ -162,15 +170,21 @@ class TrialConfig:
 
 @dataclass
 class TrialResult:
-    """Outcome of one trial; ``success`` iff the termination is target_hit."""
+    """Outcome of one trial: evaluations spent, how and why it stopped."""
 
-    success: bool
-    evals_to_target: Optional[int]
     evals: int
     termination: str
     reason: str
     best_noiseless_fm: float
     history: History
+
+    @property
+    def success(self) -> bool:
+        return self.termination == TERM_TARGET
+
+    @property
+    def evals_to_target(self) -> Optional[int]:
+        return self.evals if self.success else None
 
 
 def _make_optimizer(cfg: TrialConfig, rng: np.random.Generator) -> LraCmaEs:
@@ -199,35 +213,14 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
     lam = opt.strategy.lam
 
     history = History()
-
-    def record(stats, f_m):
-        history.append(
-            (
-                stats.t,
-                stats.evals,
-                f_m,
-                stats.sigma,
-                stats.eta_m,
-                stats.eta_sigma,
-                stats.snr_m,
-                stats.snr_sigma,
-                stats.eig_min,
-                stats.eig_max,
-                stats.det_c,
-            )
-        )
-
     f_m = problem.evaluate_noiseless(opt.mean)
     best = f_m
-    record(opt.initial_stats(), f_m)
+    history.append((*opt.initial_stats(), f_m))
     if f_m <= cfg.target_f:
-        return TrialResult(True, 0, 0, TERM_TARGET, "", best, history)
+        return TrialResult(0, TERM_TARGET, "", best, history)
 
-    evals = 0
-    termination = TERM_BUDGET
-    reason = ""
-    evals_to_target: Optional[int] = None
-    while evals + lam <= cfg.max_evals:
+    termination, reason = TERM_BUDGET, ""
+    while opt.evals + lam <= cfg.max_evals:
         xs = opt.ask()
         fitness = problem.evaluate_population(xs, rng)
         try:
@@ -240,42 +233,32 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
             # trial like any other numerical failure
             termination, reason = TERM_NUMERICAL, "nonfinite_fitness"
             break
-        evals += lam
         f_m = problem.evaluate_noiseless(opt.mean)
         best = min(best, f_m)
         if on_iteration is not None:
             on_iteration(stats, f_m)
-        terminal = False
         if f_m <= cfg.target_f:
-            termination, evals_to_target, terminal = TERM_TARGET, evals, True
+            termination = TERM_TARGET
         elif not math.isfinite(f_m):
-            termination, reason, terminal = TERM_NUMERICAL, "nonfinite_state", True
+            termination, reason = TERM_NUMERICAL, "nonfinite_state"
         elif stats.eig_max < SIGMA_COLLAPSE_TOL**2:
-            termination, reason, terminal = TERM_NUMERICAL, "sigma_collapse", True
+            termination, reason = TERM_NUMERICAL, "sigma_collapse"
         elif stats.eig_max > KAPPA_LIMIT * stats.eig_min:
-            termination, reason, terminal = TERM_NUMERICAL, "covariance_degenerate", True
+            termination, reason = TERM_NUMERICAL, "covariance_degenerate"
         elif (
             stats.t >= FLOOR_RATE_MIN_STEPS
             and opt.floor_count > FLOOR_RATE_LIMIT * stats.t
         ):
-            termination, reason, terminal = TERM_NUMERICAL, "spd_floor_persistent", True
-        is_last = evals + lam > cfg.max_evals
+            termination, reason = TERM_NUMERICAL, "spd_floor_persistent"
+        terminal = termination != TERM_BUDGET
+        is_last = opt.evals + lam > cfg.max_evals
         if terminal or is_last or stats.t % cfg.history_every == 0:
-            record(stats, f_m)
+            history.append((*stats, f_m))
         if terminal:
             break
 
     history.trim()
-    success = termination == TERM_TARGET
-    return TrialResult(
-        success=success,
-        evals_to_target=evals_to_target if success else None,
-        evals=evals,
-        termination=termination,
-        reason=reason,
-        best_noiseless_fm=best,
-        history=history,
-    )
+    return TrialResult(opt.evals, termination, reason, best, history)
 
 
 def success_rate(results: Sequence[TrialResult]) -> float:
@@ -292,7 +275,7 @@ def sp1(results: Sequence[TrialResult]) -> Optional[float]:
     """
     if not results:
         raise ValueError("sp1 needs at least one trial")
-    successes = [r.evals_to_target for r in results if r.success]
+    successes = [r.evals for r in results if r.success]
     if not successes:
         return None
     rate = len(successes) / len(results)
@@ -459,7 +442,7 @@ def write_results_csv(path, configs, results) -> None:
                 cfg.problem.noise_variance,
                 cfg.seed,
                 res.success,
-                res.evals_to_target if res.success else res.evals,
+                res.evals,
                 res.termination,
             )
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -243,14 +243,14 @@ def correct_step_size(sigma: float, eta_m_old: float, eta_m_new: float) -> float
     return sigma * (eta_m_old / eta_m_new)
 
 
-@dataclass(frozen=True)
-class IterationStats:
+class IterationStats(NamedTuple):
     """Per-generation record emitted by :meth:`LraCmaEs.tell`.
 
     ``snr_m`` / ``snr_sigma`` are NaN when no estimate was formed (fixed and
     plain modes).  ``eig_min`` / ``eig_max`` are the eigenvalue extremes of
     the full covariance sigma^2 C after the update, and ``det_c`` the
-    determinant of the shape matrix C (1 after every re-split).
+    determinant of the shape matrix C (1 after every re-split).  A trial's
+    in-memory history row is this tuple followed by the noiseless f(m).
     """
 
     t: int
@@ -286,7 +286,6 @@ class LraCmaEs:
             otherwise.
         population_size: Candidates per generation; 4 + floor(3 ln d) by
             default.
-        strategy: Full strategy constants, overriding ``population_size``.
         hyper: Controller hyperparameters (alpha, beta_m, beta_sigma, gamma).
         lr_mode: ``"adaptive"`` runs the full controller; ``"fixed"`` pins
             eta_m/eta_sigma to the given constants (still blending and
@@ -306,7 +305,6 @@ class LraCmaEs:
         *,
         cov: Optional[np.ndarray] = None,
         population_size: Optional[int] = None,
-        strategy: Optional[StrategyParams] = None,
         hyper: Optional[LraHyperParams] = None,
         lr_mode: str = "adaptive",
         eta_m: float = 1.0,
@@ -316,10 +314,7 @@ class LraCmaEs:
     ):
         mean = np.array(mean, dtype=float)
         d = mean.size
-        if strategy is None:
-            strategy = default_strategy_params(d, population_size)
-        elif strategy.d != d:
-            raise ValueError("strategy dimension does not match the mean")
+        sp = default_strategy_params(d, population_size)
         if cov is None:
             cov = np.eye(d)
         else:
@@ -343,7 +338,7 @@ class LraCmaEs:
         DistributionParams(m=mean, sigma=float(sigma), C=cov)  # mean is 1-D, sigma > 0
         if lr_mode == "adaptive":
             eta_m = eta_sigma = 1.0
-        self._sp = strategy
+        self._sp = sp
         self._hyper = hyper if hyper is not None else LraHyperParams()
         self._lr_mode = lr_mode
         self._rng = rng

@@ -186,13 +186,20 @@ class TestRunCommand:
             ["--jobs", "-3"],
             ["--history-every", "0"],
             ["--log-every", "-2"],
+            ["--seed", "-1"],
         ],
     )
-    def test_out_of_range_values_are_usage_errors(self, tmp_path, flags):
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
         code = main(["run", "--problem", "sphere", "--dim", "5", "--out", str(out), *flags])
         assert code == EXIT_USAGE
         assert not out.exists()
+        exact = {
+            ("--trials", "0"): "error: --trials: must be at least 1\n",
+            ("--seed", "-1"): "error: --seed: must be nonnegative\n",
+        }
+        if tuple(flags) in exact:
+            assert capsys.readouterr().err == exact[tuple(flags)]
 
     def test_flags_reach_the_manifest(self, tmp_path):
         flags = ["--alpha", "2", "--beta-m", "0.2", "--beta-sigma", "0.05", "--gamma", "0.3"]

@@ -23,13 +23,12 @@ from lracma.harness import (
     write_results_csv,
     write_summary_csv,
 )
+from lracma.lra import LraCmaEs
 from lracma.problems import make_problem
 
 
 def synthetic_result(success, evals):
     return TrialResult(
-        success=success,
-        evals_to_target=evals if success else None,
         evals=evals,
         termination=TERM_TARGET if success else TERM_BUDGET,
         reason="",
@@ -120,6 +119,44 @@ class TestRunTrial:
             )
         )
         assert res.termination == full.termination
+
+    # Rastrigin d=5 runs 100 generations of 8 within 803 evaluations, and
+    # 100 is not a multiple of 7; fixed eta=1 on Rastrigin d=10 stops early.
+    HISTORY_TRIALS = {
+        "lra": (("rastrigin", 5), "lra", 1.0, 1.0, 803, TERM_BUDGET),
+        "fixed": (("rastrigin", 5), "fixed", 0.5, 0.2, 803, TERM_BUDGET),
+        "plain": (("rastrigin", 5), "plain", 1.0, 1.0, 803, TERM_BUDGET),
+        "fixed_unit_stops_early": (("rastrigin", 10), "fixed", 1.0, 1.0, 10**6, TERM_NUMERICAL),
+    }
+
+    @pytest.mark.parametrize("history_every", [1, 7])
+    @pytest.mark.parametrize("trial", list(HISTORY_TRIALS))
+    def test_history_holds_initial_every_kth_and_last_row(self, trial, history_every):
+        (name, d), optimizer, eta_m, eta_sigma, max_evals, ends = self.HISTORY_TRIALS[trial]
+        problem = make_problem(name, d)
+        cfg = TrialConfig(
+            problem=problem,
+            optimizer=optimizer,
+            eta_m=eta_m,
+            eta_sigma=eta_sigma,
+            max_evals=max_evals,
+            seed=0,
+            history_every=history_every,
+        )
+        told = []
+        res = run_trial(cfg, on_iteration=lambda stats, f_m: told.append((stats, f_m)))
+        assert res.termination == ends
+        lr_mode = {"lra": "adaptive"}.get(optimizer, optimizer)
+        opt = LraCmaEs(
+            problem.init_m, problem.init_sigma, lr_mode=lr_mode, eta_m=eta_m, eta_sigma=eta_sigma
+        )
+        rows = [(*opt.initial_stats(), problem.evaluate_noiseless(problem.init_m))]
+        rows += [
+            (*stats, f_m)
+            for i, (stats, f_m) in enumerate(told)
+            if stats.t % history_every == 0 or i == len(told) - 1
+        ]
+        assert np.array_equal(res.history.data, np.array(rows), equal_nan=True)
 
     def test_determinism(self):
         cfg = TrialConfig(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lracma.core import (
     cma_candidate_update,
-    default_strategy_params,
     rank_and_recombine,
     sample_population,
     update_paths,
@@ -614,8 +613,6 @@ class TestOptimizer:
             LraCmaEs(np.zeros(3), 1.0, lr_mode="fixed", eta_m=0.0)
         with pytest.raises(ValueError):
             LraCmaEs(np.zeros(3), 1.0, seed=1, rng=np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            LraCmaEs(np.zeros(3), 1.0, strategy=default_strategy_params(4))
         # cov must be finite, 3 x 3, exactly symmetric and positive definite
         # above the eigenvalue floor once scaled by sigma^2
         for cov, sigma, match in (
