@@ -9,12 +9,8 @@ and the ``lracma`` command line drives runs, suites, and sweeps.
 
 __version__ = "0.1.0"
 
-from .core import (
-    DistributionParams,
-    StrategyParams,
-    default_strategy_params,
-)
-from .errors import InvalidFitnessError, NumericalError, SingularMetricError
+from .core import StrategyParams, default_strategy_params
+from .errors import InvalidFitnessError, NumericalError
 from .harness import (
     EcdfCurve,
     EcdfSpec,
@@ -31,7 +27,6 @@ from .lra import IterationStats, LraCmaEs, LraHyperParams
 from .problems import PROBLEM_NAMES, Problem, make_problem
 
 __all__ = [
-    "DistributionParams",
     "EcdfCurve",
     "EcdfSpec",
     "InvalidFitnessError",
@@ -41,7 +36,6 @@ __all__ = [
     "NumericalError",
     "PROBLEM_NAMES",
     "Problem",
-    "SingularMetricError",
     "StrategyParams",
     "TrialConfig",
     "TrialResult",

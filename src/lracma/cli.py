@@ -242,6 +242,9 @@ def load_suite_config(path) -> SuiteConfig:
         raise ConfigError("suite.jobs/history_every/ecdf_targets: must be >= 0")
     if sc.ecdf_targets == 1:
         raise ConfigError("suite.ecdf_targets: needs at least 2 targets (or 0 = off)")
+    if sc.history_every > 1 and sc.ecdf_targets >= 2:
+        # ECDF first hits are read off the history, so it must not be thinned
+        raise ConfigError("suite.history_every/ecdf_targets: ECDFs need history_every 0 or 1")
 
     grid = [
         GridEntry(**_parse_keys(node, GRID_KEYS, GridEntry, f"grid[{i}]"))
@@ -376,9 +379,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     for name in SWEEP_AXES:
         p.add_argument("--" + name.replace("_", "-"), default=getattr(LraHyperParams, name))
     p.add_argument("--noise-var", default=GridEntry.noise_vars[0])
-    p.add_argument("--max-evals", default=10_000_000)
+    p.add_argument("--max-evals", default=TrialConfig.max_evals)
     p.add_argument("--target", default=SuiteConfig.target)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=SuiteConfig.base_seed)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--history-every", type=int, default=1)
     p.add_argument("--log-every", type=int, default=1, help="0 silences progress lines")

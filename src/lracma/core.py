@@ -21,32 +21,6 @@ from .errors import InvalidFitnessError, NumericalError
 
 
 @dataclass(frozen=True)
-class DistributionParams:
-    """Search distribution N(m, sigma^2 C).
-
-    ``m`` is the mean in search-space units, ``sigma`` the positive scalar
-    step-size, and ``C`` the (symmetric positive definite) shape matrix.
-    """
-
-    m: np.ndarray
-    sigma: float
-    C: np.ndarray
-
-    def __post_init__(self):
-        if self.m.ndim != 1:
-            raise ValueError("mean must be a 1-D vector")
-        if self.C.shape != (self.m.size, self.m.size):
-            raise ValueError("covariance shape does not match the mean dimension")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """Full covariance sigma^2 C, built on demand."""
-        return self.sigma**2 * self.C
-
-
-@dataclass(frozen=True)
 class StrategyParams:
     """Dimension-derived CMA-ES constants.
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A numerical failure is one type, `NumericalError`; its ``reason`` code says
+what failed, so there is no subclass per failure.
+"""
 
 
 class NumericalError(RuntimeError):
@@ -6,19 +10,13 @@ class NumericalError(RuntimeError):
 
     Carries a machine-readable ``reason`` code so the harness can record why
     a trial was aborted.  Known codes: ``nonfinite_state``, ``eigh_failed``,
-    ``singular_metric``, ``nonpositive_determinant``.
+    ``singular_metric`` (the Fisher metric cannot be inverted: an eigenvalue
+    at or below the floor), ``nonpositive_determinant``.
     """
 
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
-class SingularMetricError(NumericalError):
-    """The Fisher metric could not be inverted (eigenvalue at or below the floor)."""
-
-    def __init__(self, detail: str = ""):
-        super().__init__("singular_metric", detail)
 
 
 class InvalidFitnessError(ValueError):

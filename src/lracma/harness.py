@@ -220,6 +220,7 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
         return TrialResult(0, TERM_TARGET, "", best, history)
 
     termination, reason = TERM_BUDGET, ""
+    floored = 0  # generations that needed the positive-definiteness repair
     while opt.evals + lam <= cfg.max_evals:
         xs = opt.ask()
         fitness = problem.evaluate_population(xs, rng)
@@ -233,6 +234,7 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
             # trial like any other numerical failure
             termination, reason = TERM_NUMERICAL, "nonfinite_fitness"
             break
+        floored += stats.floored
         f_m = problem.evaluate_noiseless(opt.mean)
         best = min(best, f_m)
         if on_iteration is not None:
@@ -245,10 +247,7 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
             termination, reason = TERM_NUMERICAL, "sigma_collapse"
         elif stats.eig_max > KAPPA_LIMIT * stats.eig_min:
             termination, reason = TERM_NUMERICAL, "covariance_degenerate"
-        elif (
-            stats.t >= FLOOR_RATE_MIN_STEPS
-            and opt.floor_count > FLOOR_RATE_LIMIT * stats.t
-        ):
+        elif stats.t >= FLOOR_RATE_MIN_STEPS and floored > FLOOR_RATE_LIMIT * stats.t:
             termination, reason = TERM_NUMERICAL, "spd_floor_persistent"
         terminal = termination != TERM_BUDGET
         is_last = opt.evals + lam > cfg.max_evals

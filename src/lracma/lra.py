@@ -27,7 +27,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
-    DistributionParams,
     StrategyParams,
     cma_candidate_update,
     default_strategy_params,
@@ -35,7 +34,7 @@ from .core import (
     sample_population,
     update_paths,
 )
-from .errors import NumericalError, SingularMetricError
+from .errors import NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -104,11 +103,14 @@ def to_local_coordinates(
     2^(-1/2) vec(S mat(delta_sigma) S).
 
     Raises:
-        SingularMetricError: if the smallest eigenvalue is at or below the
-            eigenvalue floor, so the metric cannot be inverted.
+        NumericalError: with reason ``singular_metric`` if the smallest
+            eigenvalue is at or below the eigenvalue floor, so the metric
+            cannot be inverted.
     """
     if w[0] <= EIG_FLOOR:
-        raise SingularMetricError(f"min eigenvalue {w[0]:.3e} <= {EIG_FLOOR:.0e}")
+        raise NumericalError(
+            "singular_metric", f"min eigenvalue {w[0]:.3e} <= {EIG_FLOOR:.0e}"
+        )
     d = delta_m.size
     inv_sqrt = (v / np.sqrt(w)) @ v.T
     tilde_m = inv_sqrt @ delta_m
@@ -276,8 +278,8 @@ class LraCmaEs:
     (sigma, C) with det(C) = 1, and corrects sigma for the eta_m change.
 
     Args:
-        mean: Initial mean vector (defines the dimension).
-        sigma: Initial step-size, positive.
+        mean: Initial mean, a 1-D vector (defines the dimension).
+        sigma: Initial step-size, positive and finite.
         cov: Initial shape matrix C; identity by default.  It must be a
             finite d x d matrix, exactly symmetric (``cov == cov.T``
             elementwise: the update keeps C symmetric by construction and
@@ -292,7 +294,9 @@ class LraCmaEs:
             re-splitting, no step-size correction since eta never moves);
             ``"plain"`` disables the layer entirely and assigns the proposed
             parameters directly, which is exactly the plain CMA-ES.
-        eta_m, eta_sigma: Pinned learning rates for ``lr_mode="fixed"``.
+        eta_m, eta_sigma: Pinned learning rates in (0, 1] for
+            ``lr_mode="fixed"``; the other modes start from eta = 1 and
+            reject any other value.
         seed / rng: Seed for a fresh PCG64 generator, or a generator to use
             (also consumed by callers drawing evaluation noise, so one seed
             fixes a whole trial).
@@ -313,6 +317,11 @@ class LraCmaEs:
         rng: Optional[np.random.Generator] = None,
     ):
         mean = np.array(mean, dtype=float)
+        if mean.ndim != 1:
+            raise ValueError("mean must be a 1-D vector")
+        sigma = float(sigma)
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         d = mean.size
         sp = default_strategy_params(d, population_size)
         if cov is None:
@@ -325,8 +334,8 @@ class LraCmaEs:
                 raise ValueError("cov must be exactly symmetric")
         if lr_mode not in ("adaptive", "fixed", "plain"):
             raise ValueError(f"unknown lr_mode {lr_mode!r}")
-        if lr_mode == "plain" and (eta_m != 1.0 or eta_sigma != 1.0):
-            raise ValueError("plain mode runs with eta_m = eta_sigma = 1")
+        if lr_mode != "fixed" and (eta_m != 1.0 or eta_sigma != 1.0):
+            raise ValueError(f"{lr_mode} mode runs with eta_m = eta_sigma = 1")
         for name, val in (("eta_m", eta_m), ("eta_sigma", eta_sigma)):
             if not 0 < val <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
@@ -335,21 +344,17 @@ class LraCmaEs:
         elif seed is not None:
             raise ValueError("pass either seed or rng, not both")
 
-        DistributionParams(m=mean, sigma=float(sigma), C=cov)  # mean is 1-D, sigma > 0
-        if lr_mode == "adaptive":
-            eta_m = eta_sigma = 1.0
         self._sp = sp
         self._hyper = hyper if hyper is not None else LraHyperParams()
         self._lr_mode = lr_mode
         self._rng = rng
         # the state: distribution, paths, and per-component E, V and eta
-        self._m, self._sigma, self._C = mean, float(sigma), cov
+        self._m, self._sigma, self._C = mean, sigma, cov
         self._p_sigma, self._p_c, self._t = np.zeros(d), np.zeros(d), 0
-        self._E_m, self._V_m, self._eta_m = np.zeros(d), 0.0, eta_m
-        self._E_sigma, self._V_sigma, self._eta_sigma = np.zeros(d * d), 0.0, eta_sigma
+        self._E_m, self._V_m, self._eta_m = np.zeros(d), 0.0, float(eta_m)
+        self._E_sigma, self._V_sigma, self._eta_sigma = np.zeros(d * d), 0.0, float(eta_sigma)
         # (x, y, z) of the generation asked for and not yet told
         self._pending = None
-        self._floor_count = 0
         w, v = eigh_or_raise(cov)
         eig_min = self._sigma**2 * w[0]
         if not eig_min > EIG_FLOOR:
@@ -362,17 +367,17 @@ class LraCmaEs:
     # -- read-only views -------------------------------------------------
 
     @property
-    def params(self) -> DistributionParams:
-        """The current (m, sigma, C), validated, as a new view on each access."""
-        return DistributionParams(m=self._m, sigma=self._sigma, C=self._C)
-
-    @property
     def mean(self) -> np.ndarray:
         return self._m
 
     @property
     def sigma(self) -> float:
         return self._sigma
+
+    @property
+    def C(self) -> np.ndarray:
+        """The shape matrix C of N(m, sigma^2 C)."""
+        return self._C
 
     @property
     def strategy(self) -> StrategyParams:
@@ -382,10 +387,6 @@ class LraCmaEs:
     def rng(self) -> np.random.Generator:
         """The trial's random stream; evaluation noise should draw from it too."""
         return self._rng
-
-    @property
-    def t(self) -> int:
-        return self._t
 
     @property
     def evals(self) -> int:
@@ -398,11 +399,6 @@ class LraCmaEs:
     @property
     def eta_sigma(self) -> float:
         return self._eta_sigma
-
-    @property
-    def floor_count(self) -> int:
-        """How many generations needed the positive-definiteness repair."""
-        return self._floor_count
 
     def initial_stats(self) -> IterationStats:
         """A t = 0 record of the starting state, for history logging."""
@@ -479,7 +475,6 @@ class LraCmaEs:
         self._p_sigma, self._p_c, self._t = p_sigma, p_c, self._t + 1
         self._E_m, self._V_m, self._eta_m = E_m, V_m, eta_m
         self._E_sigma, self._V_sigma, self._eta_sigma = E_sigma, V_sigma, eta_sigma
-        self._floor_count += floored
         self._refresh_cov_cache(w_c, v)
         return self._make_stats(snr_m, snr_sigma, floored)
 

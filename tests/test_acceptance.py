@@ -280,7 +280,7 @@ def test_criterion_8_reduction_to_plain_cma():
             exact
             and np.array_equal(opt.mean, m)
             and opt.sigma == sigma
-            and np.array_equal(opt.params.C, C)
+            and np.array_equal(opt.C, C)
         )
     report(
         8,

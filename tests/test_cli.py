@@ -13,10 +13,13 @@ from lracma.cli import (
     EXIT_NUMERICAL,
     EXIT_TARGET,
     EXIT_USAGE,
+    SuiteConfig,
+    build_parser,
     expand_configs,
     load_suite_config,
     main,
 )
+from lracma.harness import TrialConfig
 
 
 def write_config(tmp_path, text, name="suite.yaml"):
@@ -201,6 +204,11 @@ class TestRunCommand:
         if tuple(flags) in exact:
             assert capsys.readouterr().err == exact[tuple(flags)]
 
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["run", "--problem", "sphere", "--dim", "5"])
+        assert args.max_evals == TrialConfig.max_evals
+        assert args.seed == SuiteConfig.base_seed
+
     def test_flags_reach_the_manifest(self, tmp_path):
         flags = ["--alpha", "2", "--beta-m", "0.2", "--beta-sigma", "0.05", "--gamma", "0.3"]
         argv = ["run", "--problem", "sphere", "--dim", "5", "--max-evals", "200",
@@ -325,9 +333,18 @@ class TestConfigLoading:
         assert main([command, cfg, "--jobs", "-1", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
-    def test_config_errors_exit_2_via_cli(self, tmp_path):
-        bad = write_config(tmp_path, MINIMAL + "\nbogus: 1\n")
-        assert main(["suite", bad, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    def test_config_errors_exit_2_via_cli(self, tmp_path, capsys):
+        thinned = "  max_evals: 20000\n  history_every: 3\n  ecdf_targets: 10"
+        for bad, names in (
+            (MINIMAL + "\nbogus: 1\n", ["bogus"]),
+            # ECDF first hits are read off the history, so it must not be thinned
+            (MINIMAL.replace("  max_evals: 20000", thinned), ["history_every", "ecdf_targets"]),
+        ):
+            cfg = write_config(tmp_path, bad)
+            assert main(["suite", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert all(name in err for name in names), err
+        assert not (tmp_path / "o").exists()
 
     def test_out_of_range_eta_exits_2(self, tmp_path):
         bad = MINIMAL.replace("optimizers: [lra]", "optimizers: [fixed]\n    eta_m: [1.5]")

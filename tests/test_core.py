@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lracma.core import (
-    DistributionParams,
     StrategyParams,
     cma_candidate_update,
     default_strategy_params,
@@ -82,16 +81,6 @@ class TestDefaultStrategyParams:
             StrategyParams(**{**sp.__dict__, "weights": sp.weights[::-1].copy()})
         with pytest.raises(ValueError):
             StrategyParams(**{**sp.__dict__, "chi_d": 1.0})
-
-
-class TestDistributionParams:
-    def test_covariance_is_derived(self):
-        p = DistributionParams(m=np.zeros(2), sigma=2.0, C=np.diag([1.0, 4.0]))
-        assert np.array_equal(p.covariance, np.diag([4.0, 16.0]))
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            DistributionParams(m=np.zeros(2), sigma=0.0, C=np.eye(2))
 
 
 class TestSamplePopulation:

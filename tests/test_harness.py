@@ -158,6 +158,36 @@ class TestRunTrial:
         ]
         assert np.array_equal(res.history.data, np.array(rows), equal_nan=True)
 
+    @pytest.mark.parametrize(
+        "every, ends",
+        [(1, TERM_NUMERICAL), (50, TERM_NUMERICAL), (100, TERM_BUDGET), (200, TERM_BUDGET)],
+    )
+    def test_persistent_floor_stop(self, monkeypatch, every, ends):
+        # every `every`-th blend reports a floor repair; the stop fires once
+        # more than 1% of at least 100 generations needed one, so 1 repair
+        # in 100 generations (every=100) is still allowed
+        import lracma.lra
+
+        blend = lracma.lra.apply_blended_update
+        calls = 0
+
+        def reporting(*args):
+            nonlocal calls
+            calls += 1
+            m, cov, wv, floored = blend(*args)
+            return m, cov, wv, floored or calls % every == 0
+
+        monkeypatch.setattr(lracma.lra, "apply_blended_update", reporting)
+        problem = make_problem("sphere", 5)  # lambda = 8
+        cfg = TrialConfig(problem=problem, max_evals=400 * 8, target_f=1e-30, seed=0)
+        res = run_trial(cfg)
+        assert res.termination == ends
+        if ends == TERM_NUMERICAL:
+            assert res.reason == "spd_floor_persistent"
+            assert res.evals == 100 * 8
+        else:
+            assert res.evals == 400 * 8
+
     def test_determinism(self):
         cfg = TrialConfig(
             problem=make_problem("rastrigin", 5, noise_variance=1.0),
