@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -369,6 +368,9 @@ def run_suite(configs: Sequence[TrialConfig], jobs: Optional[int] = None) -> Lis
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(configs) <= 1:
         return [run_trial(c) for c in configs]
+    # imported here: it pulls in multiprocessing, which serial runs never need
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run_trial, configs, chunksize=1))
 
@@ -455,13 +457,15 @@ def write_summary_csv(path, rows: Sequence[dict]) -> None:
 
 
 def write_history_csv(path, history: History) -> None:
+    # the rows hold floats; t and evals, the first two file columns, are
+    # written as integers and the rest as repr(float), exactly as _fmt would
     keep = [HISTORY_COLUMNS.index(c) for c in HISTORY_CSV_COLUMNS]
-    int_cols = {HISTORY_COLUMNS.index("t"), HISTORY_COLUMNS.index("evals")}
-    rows = (
-        [int(row[i]) if i in int_cols else row[i] for i in keep]
-        for row in history.data
-    )
-    _write_csv(path, HISTORY_CSV_COLUMNS, rows)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(HISTORY_CSV_COLUMNS) + "\n")
+        fh.writelines(
+            f"{int(t)},{int(evals)},{','.join(map(repr, rest))}\n"
+            for t, evals, *rest in history.data[:, keep].tolist()
+        )
 
 
 def write_ecdf_csv(path, curve: EcdfCurve) -> None:

@@ -10,7 +10,9 @@ The per-generation ops are module-level functions of plain arrays and
 floats.  `LraCmaEs` keeps the whole state as plain attributes (m, sigma, C
 with C's eigendecomposition and root, the two paths and t, and E, V and eta
 for each component), calls the ops by name from ``ask()``/``tell()``, and
-commits a generation's new state only after every op has succeeded.
+commits a generation's new state only after every op has succeeded.  As in
+`lracma.core`, products call ``a.dot(b)`` rather than ``a @ b``: the same
+BLAS routine with less per-call dispatch.
 
 Naming note: the ``_sigma`` suffix on eta/beta/snr refers to the *covariance*
 component Sigma = sigma^2 C of the distribution parameters, never to the
@@ -112,11 +114,9 @@ def to_local_coordinates(
             "singular_metric", f"min eigenvalue {w[0]:.3e} <= {EIG_FLOOR:.0e}"
         )
     d = delta_m.size
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
-    tilde_m = inv_sqrt @ delta_m
-    tilde_sigma = math.sqrt(0.5) * (
-        inv_sqrt @ delta_sigma.reshape(d, d) @ inv_sqrt
-    ).ravel()
+    inv_sqrt = (v / np.sqrt(w)).dot(v.T)
+    tilde_m = inv_sqrt.dot(delta_m)
+    tilde_sigma = math.sqrt(0.5) * inv_sqrt.dot(delta_sigma.reshape(d, d)).dot(inv_sqrt).ravel()
     return tilde_m, tilde_sigma
 
 
@@ -128,7 +128,7 @@ def update_snr_state(E: np.ndarray, V: float, tilde: np.ndarray, beta: float):
     zero.  Returns the new ``(E, V)``.
     """
     E = (1 - beta) * E + beta * tilde
-    V = (1 - beta) * V + beta * float(tilde @ tilde)
+    V = (1 - beta) * V + beta * float(tilde.dot(tilde))
     return E, V
 
 
@@ -140,7 +140,7 @@ def estimate_snr(E: np.ndarray, V: float, beta: float) -> float:
     signalled as +inf: the noise estimate vanished, so the adaptation's
     projected feedback saturates at its maximum of +1.
     """
-    e2 = float(E @ E)
+    e2 = float(E.dot(E))
     denom = V - e2
     if denom <= 0.0:
         return math.inf
@@ -209,7 +209,7 @@ def apply_blended_update(
             w[0],
         )
         w = np.maximum(w, floor)
-        cov_new = (v * w) @ v.T
+        cov_new = (v * w).dot(v.T)
         cov_new = (cov_new + cov_new.T) / 2.0
     return m_new, cov_new, (w, v), floored
 
@@ -278,7 +278,7 @@ class LraCmaEs:
     (sigma, C) with det(C) = 1, and corrects sigma for the eta_m change.
 
     Args:
-        mean: Initial mean, a 1-D vector (defines the dimension).
+        mean: Initial mean, a finite 1-D vector (defines the dimension).
         sigma: Initial step-size, positive and finite.
         cov: Initial shape matrix C; identity by default.  It must be a
             finite d x d matrix, exactly symmetric (``cov == cov.T``
@@ -319,6 +319,8 @@ class LraCmaEs:
         mean = np.array(mean, dtype=float)
         if mean.ndim != 1:
             raise ValueError("mean must be a 1-D vector")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
         sigma = float(sigma)
         if not 0 < sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -466,7 +468,7 @@ class LraCmaEs:
             w_c = w / sigma_new**2
             if self._lr_mode == "adaptive":
                 sigma_new = correct_step_size(sigma_new, self._eta_m, eta_m)
-            if not np.isfinite(m_new).all() or not math.isfinite(sigma_new):
+            if np.count_nonzero(np.isfinite(m_new)) != m_new.size or not math.isfinite(sigma_new):
                 raise NumericalError(
                     "nonfinite_state", "blended update produced non-finite values"
                 )
@@ -484,7 +486,7 @@ class LraCmaEs:
         # (w, v) decomposes the new C (plain mode: an eigh of C; otherwise the
         # new Sigma's eigh over sigma^2): the next root, metric and eig stats
         self._w_C, self._v_C = w, v
-        self._sqrt_C = (v * np.sqrt(np.maximum(w, EIG_FLOOR))) @ v.T
+        self._sqrt_C = (v * np.sqrt(np.maximum(w, EIG_FLOOR))).dot(v.T)
 
     def _make_stats(self, snr_m: float, snr_sigma: float, floored: bool) -> IterationStats:
         scale = self._sigma**2
@@ -492,16 +494,8 @@ class LraCmaEs:
         # product on ill-conditioned shapes
         sign, logdet = np.linalg.slogdet(self._C)
         det_c = float(sign * np.exp(logdet)) if sign != 0 else 0.0
+        w = self._w_C
         return IterationStats(
-            t=self._t,
-            evals=self.evals,
-            sigma=self._sigma,
-            eta_m=self._eta_m,
-            eta_sigma=self._eta_sigma,
-            snr_m=snr_m,
-            snr_sigma=snr_sigma,
-            eig_min=float(scale * self._w_C[0]),
-            eig_max=float(scale * self._w_C[-1]),
-            det_c=det_c,
-            floored=floored,
+            self._t, self.evals, self._sigma, self._eta_m, self._eta_sigma, snr_m,
+            snr_sigma, scale * float(w[0]), scale * float(w[-1]), det_c, floored,
         )

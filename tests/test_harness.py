@@ -1,9 +1,13 @@
 """Tests for the trial runner, metrics, ECDF aggregation, and CSV output."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lracma.harness import (
+    HISTORY_COLUMNS,
+    HISTORY_CSV_COLUMNS,
     EcdfSpec,
     History,
     TERM_BUDGET,
@@ -399,6 +403,23 @@ class TestSuite:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,evals,f_m,sigma,eta_m,eta_sigma,snr_m,snr_sigma,eig_min,eig_max"
         assert len(lines) == len(res.history) + 1
+
+    def test_history_csv_writes_each_value_like_repr(self, tmp_path):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
+        history = History()
+        for t in range(4):
+            # a row is (t, evals, *the other columns)
+            history.append((t, 10 * t, *(specials * 2)[t : t + len(HISTORY_COLUMNS) - 2]))
+        expected = [",".join(HISTORY_CSV_COLUMNS)]
+        for row in history.data:
+            cells = []
+            for c in HISTORY_CSV_COLUMNS:
+                v = float(row[HISTORY_COLUMNS.index(c)])
+                cells.append(str(int(v)) if c in ("t", "evals") else repr(v))
+            expected.append(",".join(cells))
+        path = tmp_path / "history.csv"
+        write_history_csv(path, history)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
 
     def test_ecdf_from_results(self):
         results = run_suite(self.small_grid())

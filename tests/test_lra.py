@@ -616,6 +616,9 @@ class TestOptimizer:
                 LraCmaEs(np.zeros(3), sigma)
         with pytest.raises(ValueError, match="1-D"):
             LraCmaEs(np.zeros((3, 1)), 1.0)
+        for mean in ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                LraCmaEs(mean, 1.0)
         with pytest.raises(ValueError):
             LraCmaEs(np.zeros(3), 1.0, lr_mode="fixed", eta_m=0.0)
         with pytest.raises(ValueError):
