@@ -242,9 +242,6 @@ def load_suite_config(path) -> SuiteConfig:
         raise ConfigError("suite.jobs/history_every/ecdf_targets: must be >= 0")
     if sc.ecdf_targets == 1:
         raise ConfigError("suite.ecdf_targets: needs at least 2 targets (or 0 = off)")
-    if sc.history_every > 1 and sc.ecdf_targets >= 2:
-        # ECDF first hits are read off the history, so it must not be thinned
-        raise ConfigError("suite.history_every/ecdf_targets: ECDFs need history_every 0 or 1")
 
     grid = [
         GridEntry(**_parse_keys(node, GRID_KEYS, GridEntry, f"grid[{i}]"))
@@ -400,6 +397,9 @@ def cmd_run(args) -> int:
             raise ValueError("--history-every: must be at least 1")
         if args.log_every < 0:
             raise ValueError("--log-every: must be >= 0")
+        for dest in ("eta_m", "eta_sigma"):
+            if args.optimizer != "fixed" and number(dest) != 1.0:
+                raise ValueError(f"--{dest.replace('_', '-')}: must be 1 unless --optimizer fixed")
         hyper = LraHyperParams(**{name: number(name) for name in SWEEP_AXES})
         entry = GridEntry(
             [args.problem], [args.dim], [number("noise_var")], [args.optimizer],

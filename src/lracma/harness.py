@@ -7,7 +7,9 @@ problems.  f(m) is checked once per generation, right after the parameter
 update, so ``evals_to_target`` is always a multiple of lambda (0 when the
 initial mean is already below the target).  A `TrialResult` stores the
 evaluations spent and the termination; ``success`` and ``evals_to_target``
-are read off those two.
+are read off those two.  Its improvement record owns the best-so-far f(m):
+``best_noiseless_fm`` and the ECDF first hits are read off it, so they do
+not depend on which rows the history keeps.
 
 The history keeps one row per recorded generation: the generation's
 `IterationStats` followed by its noiseless f(m), so the stats tuple owns
@@ -121,10 +123,6 @@ class History:
     def column(self, name: str) -> np.ndarray:
         return self.data[:, HISTORY_COLUMNS.index(name)]
 
-    def best_so_far(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(evals, running minimum of noiseless f(m)); nonincreasing."""
-        return self.column("evals"), np.minimum.accumulate(self.column("f_m"))
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -154,6 +152,8 @@ class TrialConfig:
             for name in ("eta_m", "eta_sigma"):
                 if not 0 < getattr(self, name) <= 1:
                     raise ValueError(f"{name} must lie in (0, 1]")
+        elif (self.eta_m, self.eta_sigma) != (1.0, 1.0):
+            raise ValueError(f"{self.optimizer} trials run with eta_m = eta_sigma = 1")
         lam = self.population_size
         if lam is None:
             lam = default_population_size(self.problem.d)
@@ -169,13 +169,23 @@ class TrialConfig:
 
 @dataclass
 class TrialResult:
-    """Outcome of one trial: evaluations spent, how and why it stopped."""
+    """Outcome of one trial: evaluations spent, how and why it stopped.
+
+    ``improvements`` is the improvement record, a pair of lists (evals,
+    noiseless f(m)): the starting state, then every generation whose f(m)
+    is strictly below all earlier ones (never a NaN).  ``best_noiseless_fm``
+    is its last value.
+    """
 
     evals: int
     termination: str
     reason: str
-    best_noiseless_fm: float
+    improvements: Tuple[List[int], List[float]]
     history: History
+
+    @property
+    def best_noiseless_fm(self) -> float:
+        return self.improvements[1][-1]
 
     @property
     def success(self) -> bool:
@@ -194,8 +204,8 @@ def _make_optimizer(cfg: TrialConfig, rng: np.random.Generator) -> LraCmaEs:
         population_size=cfg.population_size,
         hyper=cfg.hyper,
         lr_mode=mode,
-        eta_m=cfg.eta_m if mode == "fixed" else 1.0,
-        eta_sigma=cfg.eta_sigma if mode == "fixed" else 1.0,
+        eta_m=cfg.eta_m,
+        eta_sigma=cfg.eta_sigma,
         rng=rng,
     )
 
@@ -213,10 +223,10 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
 
     history = History()
     f_m = problem.evaluate_noiseless(opt.mean)
-    best = f_m
+    improvements = ([0], [f_m])
     history.append((*opt.initial_stats(), f_m))
     if f_m <= cfg.target_f:
-        return TrialResult(0, TERM_TARGET, "", best, history)
+        return TrialResult(0, TERM_TARGET, "", improvements, history)
 
     termination, reason = TERM_BUDGET, ""
     floored = 0  # generations that needed the positive-definiteness repair
@@ -235,7 +245,9 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
             break
         floored += stats.floored
         f_m = problem.evaluate_noiseless(opt.mean)
-        best = min(best, f_m)
+        if f_m < improvements[1][-1]:  # never true for NaN
+            improvements[0].append(opt.evals)
+            improvements[1].append(f_m)
         if on_iteration is not None:
             on_iteration(stats, f_m)
         if f_m <= cfg.target_f:
@@ -256,7 +268,7 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
             break
 
     history.trim()
-    return TrialResult(opt.evals, termination, reason, best, history)
+    return TrialResult(opt.evals, termination, reason, improvements, history)
 
 
 def success_rate(results: Sequence[TrialResult]) -> float:
@@ -314,9 +326,10 @@ def ecdf(
 ) -> EcdfCurve:
     """Profile over ``len(histories) * n_targets`` (trial, target) pairs.
 
-    Each history is a pair (evals, best-so-far noiseless f(m)); the best
-    series must be nonincreasing.  A pair counts as hit at budget b when the
-    trial first reached the target within b evaluations.
+    Each history is a pair (evals, best-so-far noiseless f(m)), such as a
+    trial's improvement record; the best series must be nonincreasing and
+    free of NaN.  A pair counts as hit at budget b when the trial first
+    reached the target within b evaluations.
     """
     if not histories:
         raise ValueError("ecdf needs at least one history")
@@ -325,8 +338,8 @@ def ecdf(
     for evals, best in histories:
         evals = np.asarray(evals, dtype=float)
         best = np.asarray(best, dtype=float)
-        if np.any(np.diff(best) > 0):
-            raise ValueError("best-so-far series must be nonincreasing")
+        if np.any(np.diff(best) > 0) or np.any(np.isnan(best)):
+            raise ValueError("best-so-far series must be nonincreasing and free of NaN")
         # first index with best <= target; -best is nondecreasing
         idx = np.searchsorted(-best, -targets, side="left")
         hit = idx < best.size
@@ -338,7 +351,7 @@ def ecdf(
 
 
 def ecdf_from_results(results: Sequence[TrialResult], spec: EcdfSpec) -> EcdfCurve:
-    return ecdf([r.history.best_so_far() for r in results], spec)
+    return ecdf([r.improvements for r in results], spec)
 
 
 def optimizer_label(cfg: TrialConfig) -> str:

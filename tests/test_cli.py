@@ -190,6 +190,8 @@ class TestRunCommand:
             ["--history-every", "0"],
             ["--log-every", "-2"],
             ["--seed", "-1"],
+            ["--eta-m", "0.3"],
+            ["--optimizer", "lra", "--eta-sigma", "0.5"],
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, flags):
@@ -200,6 +202,7 @@ class TestRunCommand:
         exact = {
             ("--trials", "0"): "error: --trials: must be at least 1\n",
             ("--seed", "-1"): "error: --seed: must be nonnegative\n",
+            ("--eta-m", "0.3"): "error: --eta-m: must be 1 unless --optimizer fixed\n",
         }
         if tuple(flags) in exact:
             assert capsys.readouterr().err == exact[tuple(flags)]
@@ -334,16 +337,9 @@ class TestConfigLoading:
         assert not out.exists()
 
     def test_config_errors_exit_2_via_cli(self, tmp_path, capsys):
-        thinned = "  max_evals: 20000\n  history_every: 3\n  ecdf_targets: 10"
-        for bad, names in (
-            (MINIMAL + "\nbogus: 1\n", ["bogus"]),
-            # ECDF first hits are read off the history, so it must not be thinned
-            (MINIMAL.replace("  max_evals: 20000", thinned), ["history_every", "ecdf_targets"]),
-        ):
-            cfg = write_config(tmp_path, bad)
-            assert main(["suite", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-            err = capsys.readouterr().err
-            assert all(name in err for name in names), err
+        cfg = write_config(tmp_path, MINIMAL + "\nbogus: 1\n")
+        assert main(["suite", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_eta_exits_2(self, tmp_path):
@@ -423,6 +419,21 @@ class TestSuiteCommand:
         curves = list(out.glob("ecdf__*.csv"))
         assert len(curves) == 1
         assert curves[0].read_text().splitlines()[0] == "evals,fraction"
+
+    def test_ecdf_files_do_not_depend_on_history_thinning(self, tmp_path):
+        # first hits come from each trial's improvement record, not its history
+        grid = "optimizers: [lra, fixed]\n    noise_vars: [0.0, 1.0]\n    eta_m: [1.0, 0.1]"
+        ecdfs = {}
+        for every in (1, 3):
+            text = MINIMAL.replace(
+                "  max_evals: 20000",
+                f"  max_evals: 20000\n  history_every: {every}\n  ecdf_targets: 30",
+            ).replace("optimizers: [lra]", grid)
+            out = tmp_path / f"every{every}"
+            assert main(["suite", write_config(tmp_path, text), "--out", str(out)]) == 0
+            ecdfs[every] = {f.name: f.read_bytes() for f in out.glob("ecdf__*.csv")}
+        assert len(ecdfs[1]) == 6
+        assert ecdfs[3] == ecdfs[1]
 
 
 SWEEP = """

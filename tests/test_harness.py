@@ -28,7 +28,7 @@ from lracma.harness import (
     write_summary_csv,
 )
 from lracma.lra import LraCmaEs
-from lracma.problems import make_problem
+from lracma.problems import Problem, make_problem
 
 
 def synthetic_result(success, evals):
@@ -36,7 +36,7 @@ def synthetic_result(success, evals):
         evals=evals,
         termination=TERM_TARGET if success else TERM_BUDGET,
         reason="",
-        best_noiseless_fm=0.0,
+        improvements=([0], [0.0]),
         history=History(),
     )
 
@@ -98,9 +98,15 @@ class TestRunTrial:
         h = res.history
         lam = 8  # 4 + floor(3 ln 5)
         assert np.array_equal(h.column("evals"), lam * h.column("t"))
-        evals, best = h.best_so_far()
-        assert np.all(np.diff(best) <= 0)
         assert np.all(h.column("sigma") > 0)
+        # the improvement record: t = 0, then generations that strictly
+        # improve f(m), each also a history row at history_every 1
+        evals, f_m = res.improvements
+        assert evals[0] == 0 and f_m[0] == h.column("f_m")[0]
+        assert np.all(np.diff(evals) > 0) and np.all(np.diff(f_m) < 0)
+        rows = np.searchsorted(h.column("evals"), evals)
+        assert np.array_equal(h.column("f_m")[rows], f_m)
+        assert res.best_noiseless_fm == f_m[-1] == np.min(h.column("f_m"))
 
     def test_history_thinning_keeps_first_and_last(self):
         cfg = TrialConfig(
@@ -212,6 +218,10 @@ class TestRunTrial:
             TrialConfig(problem=problem, target_f=0.0)
         with pytest.raises(ValueError):
             TrialConfig(problem=problem, optimizer="fixed", eta_m=0.0)
+        # only the fixed optimizer pins eta; the others run with eta = 1
+        for optimizer, eta in (("lra", {"eta_m": 0.5}), ("plain", {"eta_sigma": 0.2})):
+            with pytest.raises(ValueError, match="eta_m = eta_sigma = 1"):
+                TrialConfig(problem=problem, optimizer=optimizer, **eta)
         with pytest.raises(ValueError):
             run_trial(TrialConfig(problem=problem, max_evals=5))  # below lambda
 
@@ -318,6 +328,29 @@ class TestEcdf:
         spec = EcdfSpec(n_targets=5)
         with pytest.raises(ValueError):
             ecdf([(np.array([0.0, 1.0]), np.array([1.0, 2.0]))], spec)
+        # a NaN reached no target, so it is no best-so-far value
+        with pytest.raises(ValueError, match="NaN"):
+            ecdf([([0, 10, 20], [1e3, 1e2, math.nan])], EcdfSpec(30))
+
+    def test_nan_f_m_hits_only_the_targets_reached(self, monkeypatch):
+        # f(m) turns NaN after 20 generations: the trial stops there, and
+        # only the targets its finite f(m) values reached count as hit
+        problem = make_problem("sphere", 5)
+        calls, exact = [], Problem.evaluate_noiseless
+
+        def turns_nan(self, x):
+            calls.append(exact(self, x))
+            return calls[-1] if len(calls) <= 21 else math.nan
+
+        monkeypatch.setattr(Problem, "evaluate_noiseless", turns_nan)
+        res = run_trial(TrialConfig(problem=problem, max_evals=10_000, seed=3))
+        assert (res.termination, res.reason) == (TERM_NUMERICAL, "nonfinite_state")
+        spec = EcdfSpec(n_targets=30)
+        reached = spec.targets >= min(calls[:21])
+        assert 0 < reached.sum() < spec.n_targets
+        curve = ecdf_from_results([res], spec)
+        assert curve.evals.size == reached.sum()
+        assert res.best_noiseless_fm == min(calls[:21])
 
 
 class TestSuite:
