@@ -243,10 +243,13 @@ def load_suite_config(path) -> SuiteConfig:
     if sc.ecdf_targets == 1:
         raise ConfigError("suite.ecdf_targets: needs at least 2 targets (or 0 = off)")
 
-    grid = [
-        GridEntry(**_parse_keys(node, GRID_KEYS, GridEntry, f"grid[{i}]"))
-        for i, node in enumerate(_as_list(root["grid"], "grid"))
-    ]
+    grid = []
+    for i, node in enumerate(_as_list(root["grid"], "grid")):
+        entry = GridEntry(**_parse_keys(node, GRID_KEYS, GridEntry, f"grid[{i}]"))
+        for key in ("eta_m", "eta_sigma"):
+            if key in node and "fixed" not in entry.optimizers:
+                raise ConfigError(f"grid[{i}].{key}: only the fixed optimizer takes it")
+        grid.append(entry)
 
     hyper_kwargs = _parse_keys(
         root.get("hyperparams", {}), HYPER_KEYS, LraHyperParams, "hyperparams"

@@ -12,7 +12,8 @@ with C's eigendecomposition and root, the two paths and t, and E, V and eta
 for each component), calls the ops by name from ``ask()``/``tell()``, and
 commits a generation's new state only after every op has succeeded.  As in
 `lracma.core`, products call ``a.dot(b)`` rather than ``a @ b``: the same
-BLAS routine with less per-call dispatch.
+BLAS routine with less per-call dispatch; ``eigh``/``slogdet`` call the LAPACK
+gufuncs behind ``numpy.linalg`` directly, with its failure semantics.
 
 Naming note: the ``_sigma`` suffix on eta/beta/snr refers to the *covariance*
 component Sigma = sigma^2 C of the distribution parameters, never to the
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     StrategyParams,
@@ -75,11 +77,17 @@ class LraHyperParams:
 
 
 def eigh_or_raise(a: np.ndarray):
-    """``numpy.linalg.eigh`` mapped onto the package's error type."""
+    """``numpy.linalg.eigh(a)`` of a float64 matrix, failing as NumericalError."""
     try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigh_failed", str(exc)) from exc
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _umath_linalg.eigh_lo(a, signature="d->dd")
+    except FloatingPointError as exc:
+        raise NumericalError("eigh_failed", "Eigenvalues did not converge") from exc
+
+
+def slogdet(a: np.ndarray):
+    """``numpy.linalg.slogdet(a)`` of a float64 matrix, as ``(sign, logdet)``."""
+    return _umath_linalg.slogdet(a, signature="d->dd")
 
 
 def compute_deltas(m: np.ndarray, cov: np.ndarray, m_prop: np.ndarray, cov_prop: np.ndarray):
@@ -492,7 +500,7 @@ class LraCmaEs:
         scale = self._sigma**2
         # LU-based determinant: noticeably less noise than the eigenvalue
         # product on ill-conditioned shapes
-        sign, logdet = np.linalg.slogdet(self._C)
+        sign, logdet = slogdet(self._C)
         det_c = float(sign * np.exp(logdet)) if sign != 0 else 0.0
         w = self._w_C
         return IterationStats(

@@ -337,10 +337,18 @@ class TestConfigLoading:
         assert not out.exists()
 
     def test_config_errors_exit_2_via_cli(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, MINIMAL + "\nbogus: 1\n")
-        assert main(["suite", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert "bogus" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for text, named in (
+            (MINIMAL + "\nbogus: 1\n", "bogus"),
+            # eta lists belong to the fixed optimizer only
+            (MINIMAL.replace("optimizers: [lra]", "optimizers: [lra]\n    eta_m: [0.1]"),
+             "grid[0].eta_m"),
+            (MINIMAL.replace("optimizers: [lra]", "optimizers: [lra]\n    eta_sigma: [0.5]"),
+             "grid[0].eta_sigma"),
+        ):
+            cfg = write_config(tmp_path, text)
+            assert main(["suite", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_out_of_range_eta_exits_2(self, tmp_path):
         bad = MINIMAL.replace("optimizers: [lra]", "optimizers: [fixed]\n    eta_m: [1.5]")

@@ -1,12 +1,15 @@
 """Tests for the learning-rate adaptation layer and the ask/tell optimizer."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
+from lracma import lra
 from lracma.core import (
     cma_candidate_update,
     rank_and_recombine,
@@ -23,7 +26,9 @@ from lracma.lra import (
     compute_deltas,
     correct_step_size,
     decompose_sigma,
+    eigh_or_raise,
     estimate_snr,
+    slogdet,
     to_local_coordinates,
     update_snr_state,
 )
@@ -33,6 +38,56 @@ from lracma.problems import make_problem
 def random_spd(d, rng, scale=1.0):
     a = rng.standard_normal((d, d))
     return scale * (a @ a.T + d * np.eye(d))
+
+
+def rotated_diagonal(eigenvalues, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
+    a = (q * eigenvalues).dot(q.T)
+    return (a + a.T) / 2
+
+
+class TestDirectLapackCalls:
+    """``eigh_or_raise`` and ``slogdet`` give numpy.linalg's results bit for bit."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(11)
+        cases = {f"spd{d}": random_spd(d, rng) for d in (2, 4, 10, 40)}
+        cases["kappa1e6"] = rotated_diagonal(np.logspace(0, 6, 10), rng)
+        cases["identity"] = np.eye(6)
+        cases["repeated"] = rotated_diagonal([1.0, 2.0, 2.0, 2.0, 5.0, 5.0], rng)
+        return cases
+
+    def test_eigh_matches_numpy(self):
+        for name, a in self.matrices().items():
+            w, v = eigh_or_raise(a)
+            w_np, v_np = np.linalg.eigh(a)
+            assert np.array_equal(w, w_np) and np.array_equal(v, v_np), name
+
+    def test_slogdet_matches_numpy(self):
+        cases = self.matrices()
+        cases["singular"] = np.ones((4, 4))
+        for name, a in cases.items():
+            assert slogdet(a) == np.linalg.slogdet(a), name
+        assert slogdet(cases["singular"]) == (0.0, -math.inf)
+
+    def test_nan_matrix_fails_as_eigh_failed(self):
+        a = random_spd(5, np.random.default_rng(3))
+        a[1, 2] = a[2, 1] = math.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(a)
+        with pytest.raises(NumericalError) as err:
+            eigh_or_raise(a)
+        assert err.value.reason == "eigh_failed"
+
+    def test_inf_matrix_returns_numpy_nan_results(self):
+        a = np.full((4, 4), 1.0)
+        np.fill_diagonal(a, math.inf)
+        w, v = eigh_or_raise(a)
+        w_np, v_np = np.linalg.eigh(a)
+        assert np.isnan(w).all()
+        assert np.array_equal(w, w_np, equal_nan=True)
+        assert np.array_equal(v, v_np, equal_nan=True)
 
 
 class TestComputeDeltas:
@@ -516,10 +571,10 @@ class TestOptimizer:
     def test_one_eigh_and_one_slogdet_per_tell(self, monkeypatch, kwargs):
         problem = make_problem("ellipsoid", 6)
         opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=5, **kwargs)
-        counts = {"eigh": 0, "slogdet": 0}
+        counts = {"eigh_or_raise": 0, "slogdet": 0}
 
         def counting(name):
-            fn = getattr(np.linalg, name)
+            fn = getattr(lra, name)
 
             def wrapper(*args, **kw):
                 counts[name] += 1
@@ -528,12 +583,12 @@ class TestOptimizer:
             return wrapper
 
         for name in counts:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+            monkeypatch.setattr(lra, name, counting(name))
         for _ in range(30):
             fitness = problem.evaluate_population(opt.ask())
             before = dict(counts)
             stats = opt.tell(fitness)
-            assert {k: counts[k] - before[k] for k in counts} == {"eigh": 1, "slogdet": 1}
+            assert {k: counts[k] - before[k] for k in counts} == {"eigh_or_raise": 1, "slogdet": 1}
             assert stats.det_c == pytest.approx(np.linalg.det(opt.C), rel=1e-12)
 
     def test_eta_sigma_stays_high_on_sphere(self):
@@ -581,10 +636,13 @@ class TestOptimizer:
         fitness = problem.evaluate_population(opt.ask())
         before = state_bits(opt)
 
-        def failing(*args, **kw):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def failing(a, signature):
+            # LAPACK reports non-convergence through the invalid flag, as it
+            # does for a matrix full of NaN
+            return _umath_linalg.eigh_lo(np.full_like(a, np.nan), signature=signature)
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        lapack = SimpleNamespace(eigh_lo=failing, slogdet=_umath_linalg.slogdet)
+        monkeypatch.setattr(lra, "_umath_linalg", lapack)
         with pytest.raises(NumericalError) as err:
             opt.tell(fitness)
         assert err.value.reason == "eigh_failed"

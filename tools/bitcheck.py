@@ -2,6 +2,7 @@
 
     python tools/bitcheck.py artifacts
     python tools/bitcheck.py trials
+    python tools/bitcheck.py grid [--acceptance]
 
 ``artifacts`` runs a fixed set of command lines in-process through
 ``lracma.cli.main``, each into its own directory under a temporary working
@@ -17,6 +18,24 @@ stdout, then each file it wrote (relative path and bytes, sorted by path).
 
 ``trials`` prints the digest of the trial slice that ``tests/test_bits.py``
 pins, hashed with that test's byte layout.
+
+``grid`` hashes 134 trials with the same layout, in this order:
+
+- 128 short trials at d = 10 and max_evals 6000: the eight problems in
+  ``PROBLEM_NAMES`` order, then noise variance 0 and 1, then the modes
+  lra, fixed eta_m/eta_sigma = 0.5/0.2, fixed 1/1 and plain, then seeds
+  0 and 8;
+- six longer ones: lra Rastrigin d = 10, 1e5 evaluations, seed 0; lra
+  Sphere d = 10 with noise variance 1e6, 1e5 evaluations, seed 0; lra
+  Ellipsoid d = 40, 3e4 evaluations, seed 1; lra Ellipsoid d = 10 to the
+  1e-8 target (1e5 evaluations allowed), seed 0; and fixed eta = 1 Rastrigin
+  d = 10, 1e7 evaluations allowed, seeds 0 and 1, which end
+  ``numerical_error``/``covariance_degenerate``.
+
+With ``--acceptance`` it hashes the 80 trials of ``tests/test_acceptance.py``
+instead: lra Sphere and lra and fixed eta = 1 Rastrigin at d = 10, seeds
+0-19, then lra and fixed eta = 1 Sphere with noise variance 1, seeds 0-9,
+all with target 1e-8 (several minutes; recorded as ``acceptance``).
 
 The digests depend on the numpy and BLAS builds and on the BLAS kernel, so
 each mode prints them with the environment.  ``BITS.json`` records the
@@ -35,6 +54,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import yaml
@@ -43,7 +63,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from lracma import cli  # noqa: E402
-from test_bits import bit_configs, current_env, trials_digest  # noqa: E402
+from lracma.harness import TrialConfig  # noqa: E402
+from lracma.problems import PROBLEM_NAMES, make_problem  # noqa: E402
+from test_bits import MODES, bit_configs, current_env, trials_digest  # noqa: E402
 
 PRESETS = (
     ("suite", "noiseless_desk"),
@@ -77,6 +99,48 @@ RUN_CASES = (
     ),
     ("run_usage_error", ["--problem", "sphere", "--dim", "4", "--max-evals", "5"]),
 )
+
+
+FIXED_UNIT = dict(optimizer="fixed", eta_m=1.0, eta_sigma=1.0)
+
+
+def grid_configs():
+    """The 134 trials of ``grid``, in hashing order."""
+    configs = [
+        TrialConfig(problem=make_problem(name, 10, noise), max_evals=6000, seed=seed, **mode)
+        for name in PROBLEM_NAMES
+        for noise in (0.0, 1.0)
+        for mode in MODES
+        for seed in (0, 8)
+    ]
+    rastrigin = make_problem("rastrigin", 10)
+    configs += [
+        TrialConfig(problem=rastrigin, max_evals=10**5, seed=0),
+        TrialConfig(problem=make_problem("sphere", 10, 1e6), max_evals=10**5, seed=0),
+        TrialConfig(problem=make_problem("ellipsoid", 40), max_evals=30000, seed=1),
+        TrialConfig(problem=make_problem("ellipsoid", 10), max_evals=10**5, seed=0),
+        TrialConfig(problem=rastrigin, max_evals=10**7, seed=0, **FIXED_UNIT),
+        TrialConfig(problem=rastrigin, max_evals=10**7, seed=1, **FIXED_UNIT),
+    ]
+    return configs
+
+
+def acceptance_configs():
+    """The 80 trials of the acceptance batches, in hashing order."""
+    sphere, rastrigin = make_problem("sphere", 10), make_problem("rastrigin", 10)
+    noisy = make_problem("sphere", 10, 1.0)
+    batches = (
+        (sphere, {}, 10**6, range(20)),
+        (rastrigin, {}, 10**7, range(20)),
+        (rastrigin, FIXED_UNIT, 10**7, range(20)),
+        (noisy, {}, 10**6, range(10)),
+        (noisy, FIXED_UNIT, 10**6, range(10)),
+    )
+    return [
+        TrialConfig(problem=problem, max_evals=max_evals, seed=seed, **mode)
+        for problem, mode, max_evals, seeds in batches
+        for seed in seeds
+    ]
 
 
 def cut_preset(name: str) -> dict:
@@ -127,16 +191,21 @@ def artifacts_digest():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv not in (["artifacts"], ["trials"]):
+    if argv not in (["artifacts"], ["trials"], ["grid"], ["grid", "--acceptance"]):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    mode = argv[0]
+    mode = "acceptance" if argv[-1] == "--acceptance" else argv[0]
     env = current_env()
+    start = time.perf_counter()
     if mode == "artifacts":
         digest, n_cases, n_files, codes = artifacts_digest()
         report = {"digest": digest, "cases": n_cases, "files": n_files, "exit_codes": codes}
     else:
-        report = {"digest": trials_digest(bit_configs())}
+        configs = {
+            "trials": bit_configs, "grid": grid_configs, "acceptance": acceptance_configs,
+        }[mode]()
+        report = {"digest": trials_digest(configs), "trials": len(configs)}
+    report["seconds"] = round(time.perf_counter() - start, 1)
     print(json.dumps({"mode": mode, **report, "env": env}, indent=2))
 
     recorded = json.loads((ROOT / "BITS.json").read_text())
