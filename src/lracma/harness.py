@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -95,30 +96,29 @@ RESULTS_CSV_COLUMNS = (
 
 
 class History:
-    """Columnar per-iteration trace with the columns in HISTORY_COLUMNS."""
+    """Columnar per-iteration trace with the columns in HISTORY_COLUMNS.
+
+    The rows sit back to back in one float64 ``array``, which grows in place
+    with a few percent of slack, so a trial's peak is close to its rows' size.
+    """
 
     def __init__(self):
-        self._data = np.empty((256, len(HISTORY_COLUMNS)))
-        self._n = 0
+        self._rows = array("d")
 
     def append(self, row: Tuple[float, ...]) -> None:
-        if self._n == self._data.shape[0]:
-            grown = np.empty((2 * self._n, self._data.shape[1]))
-            grown[: self._n] = self._data
-            self._data = grown
-        self._data[self._n] = row
-        self._n += 1
+        # a wrong length would shift later columns; fromlist() adds no partial row
+        if len(row) != len(HISTORY_COLUMNS):
+            raise ValueError(f"a history row has {len(HISTORY_COLUMNS)} values")
+        self._rows.fromlist(list(row))
 
     def __len__(self) -> int:
-        return self._n
-
-    def trim(self) -> None:
-        """Drop the growth slack once no more rows will be appended."""
-        self._data = self._data[: self._n].copy()
+        return len(self._rows) // len(HISTORY_COLUMNS)
 
     @property
     def data(self) -> np.ndarray:
-        return self._data[: self._n]
+        # a view of the rows: append raises BufferError while one is alive,
+        # so run_trial takes none before its last row
+        return np.frombuffer(self._rows).reshape(-1, len(HISTORY_COLUMNS))
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, HISTORY_COLUMNS.index(name)]
@@ -267,7 +267,6 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
         if terminal:
             break
 
-    history.trim()
     return TrialResult(opt.evals, termination, reason, improvements, history)
 
 
@@ -344,7 +343,7 @@ def ecdf(
         idx = np.searchsorted(-best, -targets, side="left")
         hit = idx < best.size
         hits.append(evals[idx[hit]])
-    all_hits = np.sort(np.concatenate(hits)) if hits else np.empty(0)
+    all_hits = np.sort(np.concatenate(hits))
     n_pairs = len(histories) * targets.size
     fraction = np.arange(1, all_hits.size + 1) / n_pairs
     return EcdfCurve(evals=all_hits, fraction=fraction, n_pairs=n_pairs)

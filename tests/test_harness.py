@@ -1,6 +1,7 @@
 """Tests for the trial runner, metrics, ECDF aggregation, and CSV output."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,27 @@ class TestRunTrial:
         rows = np.searchsorted(h.column("evals"), evals)
         assert np.array_equal(h.column("f_m")[rows], f_m)
         assert res.best_noiseless_fm == f_m[-1] == np.min(h.column("f_m"))
+
+    def test_history_peak_stays_near_its_rows(self):
+        # a long trial appends one row per generation; growing the rows must
+        # not hold two copies of them at once (a doubling buffer peaks ~2x)
+        n, row = 200_000, tuple(float(i) for i in range(len(HISTORY_COLUMNS)))
+        history = History()
+        tracemalloc.start()
+        try:
+            for _ in range(n):
+                history.append(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(history) == n
+        assert np.array_equal(history.data[-1], row)
+        assert peak <= 1.25 * n * len(HISTORY_COLUMNS) * 8
+        with pytest.raises(ValueError):
+            history.append(row[:-1])
+        with pytest.raises(TypeError):
+            history.append((*row[:-1], "x"))
+        assert history.data.shape == (n, len(HISTORY_COLUMNS))
 
     def test_history_thinning_keeps_first_and_last(self):
         cfg = TrialConfig(
