@@ -514,7 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     out_default = os.environ.get("LRACMA_OUT", "lracma_out")
     common.add_argument("--out", default=out_default, help="output directory (%(default)s)")
     common.add_argument(
-        "--jobs", type=int, default=0, help="worker processes (0 = suite.jobs, else all cores)"
+        "--jobs",
+        type=int,
+        default=0,
+        help="worker processes (0 = suite.jobs, else one per CPU this process may use)",
     )
 
     p_run = sub.add_parser(

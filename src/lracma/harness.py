@@ -374,10 +374,17 @@ def derive_trial_seed(
 
 
 def run_suite(configs: Sequence[TrialConfig], jobs: Optional[int] = None) -> List[TrialResult]:
-    """Run independent trials on a worker pool; results keep config order."""
+    """Run independent trials on a worker pool; results keep config order.
+
+    ``jobs=None`` starts one worker per CPU this process may run on.
+    """
     configs = list(configs)
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        # the affinity mask, where the OS has one, not the host's CPU count
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
     if jobs <= 1 or len(configs) <= 1:
         return [run_trial(c) for c in configs]
     # imported here: it pulls in multiprocessing, which serial runs never need

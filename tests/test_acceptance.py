@@ -37,8 +37,6 @@ from lracma.problems import make_problem
 
 pytestmark = pytest.mark.acceptance
 
-SEEDS = range(20)
-NOISY_SEEDS = range(10)
 HP = LraHyperParams()
 
 
@@ -48,7 +46,32 @@ def report(criterion, name, ok, detail):
     assert ok, f"criterion {criterion} ({name}): {detail}"
 
 
-def timed_suite(configs):
+# The five seeded batches, all at d=10 with target 1e-8, in the order
+# ``tools/bitcheck.py grid --acceptance`` hashes them:
+# name -> (problem, noise variance, optimizer settings, max_evals, seeds).
+FIXED_UNIT = dict(optimizer="fixed", eta_m=1.0, eta_sigma=1.0)
+BATCHES = {
+    "sphere_lra": ("sphere", 0.0, {}, 10**6, range(20)),
+    "rastrigin_lra": ("rastrigin", 0.0, {}, 10**7, range(20)),
+    "rastrigin_fixed": ("rastrigin", 0.0, FIXED_UNIT, 10**7, range(20)),
+    "noisy_sphere_lra": ("sphere", 1.0, {}, 10**6, range(10)),
+    "noisy_sphere_fixed": ("sphere", 1.0, FIXED_UNIT, 10**6, range(10)),
+}
+
+
+def batch_configs(name):
+    """The trials of batch ``name``, in seed order."""
+    problem, noise, settings, max_evals, seeds = BATCHES[name]
+    problem = make_problem(problem, 10, noise)
+    return [
+        TrialConfig(problem=problem, max_evals=max_evals, target_f=1e-8, seed=s, **settings)
+        for s in seeds
+    ]
+
+
+def timed_serial(name):
+    """Batch ``name``'s results, run in this process, and their wall time."""
+    configs = batch_configs(name)
     start = time.perf_counter()
     results = run_suite(configs, jobs=1)
     return results, time.perf_counter() - start
@@ -56,71 +79,30 @@ def timed_suite(configs):
 
 @pytest.fixture(scope="module")
 def sphere_lra():
-    problem = make_problem("sphere", 10)
-    configs = [
-        TrialConfig(problem=problem, optimizer="lra", max_evals=10**6, target_f=1e-8, seed=s)
-        for s in SEEDS
-    ]
-    results, elapsed = timed_suite(configs)
-    return configs, results, elapsed
+    return timed_serial("sphere_lra")
 
 
 @pytest.fixture(scope="module")
 def rastrigin_lra():
-    problem = make_problem("rastrigin", 10)
-    configs = [
-        TrialConfig(problem=problem, optimizer="lra", max_evals=10**7, target_f=1e-8, seed=s)
-        for s in SEEDS
-    ]
-    results, elapsed = timed_suite(configs)
-    return configs, results, elapsed
+    return timed_serial("rastrigin_lra")
 
 
+# untimed batches run on every usable CPU; each trial has its own seed, so
+# the results are those of a serial run
 @pytest.fixture(scope="module")
 def rastrigin_fixed():
-    problem = make_problem("rastrigin", 10)
-    configs = [
-        TrialConfig(
-            problem=problem,
-            optimizer="fixed",
-            eta_m=1.0,
-            eta_sigma=1.0,
-            max_evals=10**7,
-            target_f=1e-8,
-            seed=s,
-        )
-        for s in SEEDS
-    ]
-    results, elapsed = timed_suite(configs)
-    return configs, results, elapsed
+    return run_suite(batch_configs("rastrigin_fixed"))
 
 
 @pytest.fixture(scope="module")
 def noisy_sphere():
-    problem = make_problem("sphere", 10, noise_variance=1.0)
-    lra_configs = [
-        TrialConfig(problem=problem, optimizer="lra", max_evals=10**6, target_f=1e-8, seed=s)
-        for s in NOISY_SEEDS
-    ]
-    fixed_configs = [
-        TrialConfig(
-            problem=problem,
-            optimizer="fixed",
-            eta_m=1.0,
-            eta_sigma=1.0,
-            max_evals=10**6,
-            target_f=1e-8,
-            seed=s,
-        )
-        for s in NOISY_SEEDS
-    ]
-    lra_results, _ = timed_suite(lra_configs)
-    fixed_results, _ = timed_suite(fixed_configs)
-    return (lra_configs, lra_results), (fixed_configs, fixed_results)
+    lra, fixed = batch_configs("noisy_sphere_lra"), batch_configs("noisy_sphere_fixed")
+    results = run_suite(lra + fixed)
+    return results[: len(lra)], results[len(lra) :]
 
 
 def test_criterion_1_sphere_success_rate(sphere_lra):
-    _, results, elapsed = sphere_lra
+    results, elapsed = sphere_lra
     rate = success_rate(results)
     ok = rate == 1.0 and elapsed < 300
     report(
@@ -133,7 +115,7 @@ def test_criterion_1_sphere_success_rate(sphere_lra):
 
 def test_criterion_2_rastrigin_lra_success_rate(rastrigin_lra):
     assert default_strategy_params(10).lam == 10  # default population size
-    _, results, elapsed = rastrigin_lra
+    results, elapsed = rastrigin_lra
     rate = success_rate(results)
     ok = rate >= 0.9 and elapsed < 1800
     report(
@@ -145,10 +127,9 @@ def test_criterion_2_rastrigin_lra_success_rate(rastrigin_lra):
 
 
 def test_criterion_3_rastrigin_fixed_is_worse(rastrigin_lra, rastrigin_fixed):
-    _, lra_results, _ = rastrigin_lra
-    _, fixed_results, _ = rastrigin_fixed
+    lra_results, _ = rastrigin_lra
     lra_rate = success_rate(lra_results)
-    fixed_rate = success_rate(fixed_results)
+    fixed_rate = success_rate(rastrigin_fixed)
     ok = fixed_rate < lra_rate
     report(
         3,
@@ -159,7 +140,7 @@ def test_criterion_3_rastrigin_fixed_is_worse(rastrigin_lra, rastrigin_fixed):
 
 
 def test_criterion_4_noisy_sphere_median_gap(noisy_sphere):
-    (_, lra_results), (_, fixed_results) = noisy_sphere
+    lra_results, fixed_results = noisy_sphere
     lra_median = float(np.median([r.best_noiseless_fm for r in lra_results]))
     fixed_median = float(np.median([r.best_noiseless_fm for r in fixed_results]))
     ok = lra_median * 10 <= fixed_median
@@ -229,8 +210,7 @@ def test_criterion_6_moving_average_distribution():
 def test_criterion_7_structural_invariants(
     sphere_lra, rastrigin_lra, rastrigin_fixed, noisy_sphere
 ):
-    batches = [sphere_lra[1], rastrigin_lra[1], rastrigin_fixed[1]]
-    batches += [noisy_sphere[0][1], noisy_sphere[1][1]]
+    batches = [sphere_lra[0], rastrigin_lra[0], rastrigin_fixed, *noisy_sphere]
     violations = 0
     rows = 0
     for results in batches:
@@ -292,7 +272,7 @@ def test_criterion_8_reduction_to_plain_cma():
 
 def test_criterion_9_noisy_eta_sigma_decay(noisy_sphere):
     # the designated typical-run trace: first seed of the criterion-4 batch
-    (_, lra_results), _ = noisy_sphere
+    lra_results, _ = noisy_sphere
     h = lra_results[0].history
     evals = h.column("evals")
     eta_sigma = h.column("eta_sigma")
@@ -309,11 +289,7 @@ def test_criterion_9_noisy_eta_sigma_decay(noisy_sphere):
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
-    problem = make_problem("sphere", 10)
-    configs = [
-        TrialConfig(problem=problem, optimizer="lra", max_evals=10**6, target_f=1e-8, seed=s)
-        for s in SEEDS
-    ]
+    configs = batch_configs("sphere_lra")
     digests = []
     for tag in ("first", "second"):
         out = tmp_path / tag

@@ -439,6 +439,33 @@ class TestSuite:
             assert a.termination == b.termination
             assert np.array_equal(a.history.data, b.history.data, equal_nan=True)
 
+    @pytest.mark.parametrize("affinity, expected", [({0, 3, 5}, 3), (None, 64)])
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch, affinity, expected):
+        # a fake pool records its size and runs nothing, so no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, configs, chunksize):
+                return [None for _ in configs]
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        if affinity is None:
+            monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: affinity, raising=False)
+        run_suite(self.small_grid(trials=2))
+        assert sizes == [expected]
+
     def test_results_csv_schema(self, tmp_path):
         configs = self.small_grid(trials=2)
         results = run_suite(configs)

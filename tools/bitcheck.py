@@ -32,10 +32,9 @@ pins, hashed with that test's byte layout.
   d = 10, 1e7 evaluations allowed, seeds 0 and 1, which end
   ``numerical_error``/``covariance_degenerate``.
 
-With ``--acceptance`` it hashes the 80 trials of ``tests/test_acceptance.py``
-instead: lra Sphere and lra and fixed eta = 1 Rastrigin at d = 10, seeds
-0-19, then lra and fixed eta = 1 Sphere with noise variance 1, seeds 0-9,
-all with target 1e-8 (several minutes; recorded as ``acceptance``).
+With ``--acceptance`` it hashes instead the 80 trials of the acceptance
+batches, in the order of ``BATCHES`` in ``tests/test_acceptance.py`` (several
+minutes; recorded as ``acceptance``).
 
 The digests depend on the numpy and BLAS builds and on the BLAS kernel, so
 each mode prints them with the environment.  ``BITS.json`` records the
@@ -65,6 +64,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from lracma import cli  # noqa: E402
 from lracma.harness import TrialConfig  # noqa: E402
 from lracma.problems import PROBLEM_NAMES, make_problem  # noqa: E402
+from test_acceptance import BATCHES, FIXED_UNIT, batch_configs  # noqa: E402
 from test_bits import MODES, bit_configs, current_env, trials_digest  # noqa: E402
 
 PRESETS = (
@@ -101,9 +101,6 @@ RUN_CASES = (
 )
 
 
-FIXED_UNIT = dict(optimizer="fixed", eta_m=1.0, eta_sigma=1.0)
-
-
 def grid_configs():
     """The 134 trials of ``grid``, in hashing order."""
     configs = [
@@ -123,24 +120,6 @@ def grid_configs():
         TrialConfig(problem=rastrigin, max_evals=10**7, seed=1, **FIXED_UNIT),
     ]
     return configs
-
-
-def acceptance_configs():
-    """The 80 trials of the acceptance batches, in hashing order."""
-    sphere, rastrigin = make_problem("sphere", 10), make_problem("rastrigin", 10)
-    noisy = make_problem("sphere", 10, 1.0)
-    batches = (
-        (sphere, {}, 10**6, range(20)),
-        (rastrigin, {}, 10**7, range(20)),
-        (rastrigin, FIXED_UNIT, 10**7, range(20)),
-        (noisy, {}, 10**6, range(10)),
-        (noisy, FIXED_UNIT, 10**6, range(10)),
-    )
-    return [
-        TrialConfig(problem=problem, max_evals=max_evals, seed=seed, **mode)
-        for problem, mode, max_evals, seeds in batches
-        for seed in seeds
-    ]
 
 
 def cut_preset(name: str) -> dict:
@@ -202,7 +181,9 @@ def main(argv=None) -> int:
         report = {"digest": digest, "cases": n_cases, "files": n_files, "exit_codes": codes}
     else:
         configs = {
-            "trials": bit_configs, "grid": grid_configs, "acceptance": acceptance_configs,
+            "trials": bit_configs,
+            "grid": grid_configs,
+            "acceptance": lambda: [cfg for name in BATCHES for cfg in batch_configs(name)],
         }[mode]()
         report = {"digest": trials_digest(configs), "trials": len(configs)}
     report["seconds"] = round(time.perf_counter() - start, 1)
