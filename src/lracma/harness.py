@@ -43,12 +43,15 @@ import numpy as np
 
 from .core import default_population_size
 from .errors import InvalidFitnessError, NumericalError
-from .lra import IterationStats, LraCmaEs, LraHyperParams
+from .lra import IterationStats, LraCmaEs, LraHyperParams, check_learning_rates
 from .problems import Problem
 
 TERM_TARGET = "target_hit"
 TERM_BUDGET = "budget_exhausted"
 TERM_NUMERICAL = "numerical_error"
+
+# TrialConfig.optimizer -> the LraCmaEs lr_mode it runs
+LR_MODES = {"lra": "adaptive", "fixed": "fixed", "plain": "plain"}
 
 # Largest coordinate standard deviation below which sigma is considered
 # collapsed (the "excessively small sigma" stop).
@@ -144,19 +147,16 @@ class TrialConfig:
     history_every: int = 1
 
     def __post_init__(self):
-        if self.optimizer not in ("lra", "fixed", "plain"):
+        if self.optimizer not in LR_MODES:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        check_learning_rates(LR_MODES[self.optimizer], self.eta_m, self.eta_sigma)
         if not self.target_f > 0:
             raise ValueError("target_f must be positive")
-        if self.optimizer == "fixed":
-            for name in ("eta_m", "eta_sigma"):
-                if not 0 < getattr(self, name) <= 1:
-                    raise ValueError(f"{name} must lie in (0, 1]")
-        elif (self.eta_m, self.eta_sigma) != (1.0, 1.0):
-            raise ValueError(f"{self.optimizer} trials run with eta_m = eta_sigma = 1")
         lam = self.population_size
         if lam is None:
             lam = default_population_size(self.problem.d)
+        elif lam < 2:
+            raise ValueError("population size must be at least 2")
         if self.max_evals < lam:
             raise ValueError(
                 f"max_evals must cover at least one generation ({lam} evaluations)"
@@ -196,20 +196,6 @@ class TrialResult:
         return self.evals if self.success else None
 
 
-def _make_optimizer(cfg: TrialConfig, rng: np.random.Generator) -> LraCmaEs:
-    mode = {"lra": "adaptive", "fixed": "fixed", "plain": "plain"}[cfg.optimizer]
-    return LraCmaEs(
-        cfg.problem.init_m,
-        cfg.problem.init_sigma,
-        population_size=cfg.population_size,
-        hyper=cfg.hyper,
-        lr_mode=mode,
-        eta_m=cfg.eta_m,
-        eta_sigma=cfg.eta_sigma,
-        rng=rng,
-    )
-
-
 def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
     """Run one seeded trial to termination, capturing the iteration history.
 
@@ -218,7 +204,16 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
     """
     problem = cfg.problem
     rng = np.random.default_rng(cfg.seed)
-    opt = _make_optimizer(cfg, rng)
+    opt = LraCmaEs(
+        problem.init_m,
+        problem.init_sigma,
+        population_size=cfg.population_size,
+        hyper=cfg.hyper,
+        lr_mode=LR_MODES[cfg.optimizer],
+        eta_m=cfg.eta_m,
+        eta_sigma=cfg.eta_sigma,
+        rng=rng,
+    )
     lam = opt.strategy.lam
 
     history = History()

@@ -76,6 +76,17 @@ class LraHyperParams:
             raise ValueError("gamma must be positive")
 
 
+def check_learning_rates(lr_mode: str, eta_m: float, eta_sigma: float) -> None:
+    """Reject an unknown mode, an eta outside (0, 1], or a pinned eta outside fixed mode."""
+    if lr_mode not in ("adaptive", "fixed", "plain"):
+        raise ValueError(f"unknown lr_mode {lr_mode!r}")
+    if lr_mode != "fixed" and (eta_m != 1.0 or eta_sigma != 1.0):
+        raise ValueError(f"{lr_mode} mode runs with eta_m = eta_sigma = 1")
+    for name, val in (("eta_m", eta_m), ("eta_sigma", eta_sigma)):
+        if not 0 < val <= 1:
+            raise ValueError(f"{name} must lie in (0, 1]")
+
+
 def eigh_or_raise(a: np.ndarray):
     """``numpy.linalg.eigh(a)`` of a float64 matrix, failing as NumericalError."""
     try:
@@ -342,13 +353,7 @@ class LraCmaEs:
                 raise ValueError(f"cov must be a finite {d} x {d} matrix")
             if not np.array_equal(cov, cov.T):
                 raise ValueError("cov must be exactly symmetric")
-        if lr_mode not in ("adaptive", "fixed", "plain"):
-            raise ValueError(f"unknown lr_mode {lr_mode!r}")
-        if lr_mode != "fixed" and (eta_m != 1.0 or eta_sigma != 1.0):
-            raise ValueError(f"{lr_mode} mode runs with eta_m = eta_sigma = 1")
-        for name, val in (("eta_m", eta_m), ("eta_sigma", eta_sigma)):
-            if not 0 < val <= 1:
-                raise ValueError(f"{name} must lie in (0, 1]")
+        check_learning_rates(lr_mode, eta_m, eta_sigma)
         if rng is None:
             rng = np.random.default_rng(seed)
         elif seed is not None:

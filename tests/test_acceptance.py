@@ -2,9 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The expensive trial
 batches are shared through module-scoped fixtures; everything is seeded, so
-repeated runs reproduce the same numbers bit for bit.  Every test here
-carries the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the
-rest of the suite alone.
+repeated runs reproduce the same numbers bit for bit, and a last test hashes
+the batches' results against the ``acceptance`` digest in ``BITS.json``.
+Every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the rest of the suite alone.
 """
 
 import time
@@ -34,6 +35,7 @@ from lracma.lra import (
     update_snr_state,
 )
 from lracma.problems import make_problem
+from test_bits import check_digest, current_env, recorded_bits, results_digest
 
 pytestmark = pytest.mark.acceptance
 
@@ -47,7 +49,7 @@ def report(criterion, name, ok, detail):
 
 
 # The five seeded batches, all at d=10 with target 1e-8, in the order
-# ``tools/bitcheck.py grid --acceptance`` hashes them:
+# ``test_batches_match_recorded_digest`` hashes them:
 # name -> (problem, noise variance, optimizer settings, max_evals, seeds).
 FIXED_UNIT = dict(optimizer="fixed", eta_m=1.0, eta_sigma=1.0)
 BATCHES = {
@@ -99,6 +101,12 @@ def noisy_sphere():
     lra, fixed = batch_configs("noisy_sphere_lra"), batch_configs("noisy_sphere_fixed")
     results = run_suite(lra + fixed)
     return results[: len(lra)], results[len(lra) :]
+
+
+@pytest.fixture(scope="module")
+def batch_results(sphere_lra, rastrigin_lra, rastrigin_fixed, noisy_sphere):
+    """Each batch's results, in ``BATCHES`` order."""
+    return [sphere_lra[0], rastrigin_lra[0], rastrigin_fixed, *noisy_sphere]
 
 
 def test_criterion_1_sphere_success_rate(sphere_lra):
@@ -207,13 +215,10 @@ def test_criterion_6_moving_average_distribution():
     )
 
 
-def test_criterion_7_structural_invariants(
-    sphere_lra, rastrigin_lra, rastrigin_fixed, noisy_sphere
-):
-    batches = [sphere_lra[0], rastrigin_lra[0], rastrigin_fixed, *noisy_sphere]
+def test_criterion_7_structural_invariants(batch_results):
     violations = 0
     rows = 0
-    for results in batches:
+    for results in batch_results:
         for res in results:
             h = res.history
             rows += len(h)
@@ -288,18 +293,16 @@ def test_criterion_9_noisy_eta_sigma_decay(noisy_sphere):
     )
 
 
-def test_criterion_10_byte_identical_reruns(tmp_path):
+def test_criterion_10_byte_identical_reruns(sphere_lra, tmp_path):
     configs = batch_configs("sphere_lra")
     digests = []
-    for tag in ("first", "second"):
+    for tag, results in (("fixture", sphere_lra[0]), ("rerun", run_suite(configs, jobs=1))):
         out = tmp_path / tag
         out.mkdir()
-        results = run_suite(configs, jobs=1)
         write_results_csv(out / "results.csv", configs, results)
+        blob = (out / "results.csv").read_bytes()
         for i, res in enumerate(results):
             write_history_csv(out / f"history_{i}.csv", res.history)
-        blob = (out / "results.csv").read_bytes()
-        for i in range(len(results)):
             blob += (out / f"history_{i}.csv").read_bytes()
         digests.append(blob)
     ok = digests[0] == digests[1]
@@ -309,3 +312,11 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         ok,
         f"{len(configs)} trials, results + histories compared",
     )
+
+
+def test_batches_match_recorded_digest(batch_results):
+    """Compared only on the environment BITS.json records."""
+    digest = results_digest(res for results in batch_results for res in results)
+    bits = recorded_bits()
+    recorded = bits["acceptance"]["digest"] if current_env() == bits["env"] else None
+    check_digest("acceptance", digest, recorded)

@@ -1,4 +1,4 @@
-"""Bit-identity check: a small slice of seeded trials hashes to a pinned digest.
+"""Bit-identity check: a small slice of seeded trials hashes to a recorded digest.
 
 Speed work on the generation step must not change a single bit of any
 trial.  This test runs every optimizer mode on Sphere and on noisy
@@ -11,37 +11,25 @@ the results with SHA-256 over this byte layout, trial by trial in order:
 
 The digest depends on the numpy and BLAS builds, and a dynamically
 dispatched OpenBLAS picks its kernel from the CPU at load time, with
-rounding that differs between kernels.  So one digest is pinned per
-kernel (each computed by forcing it with ``OPENBLAS_CORETYPE``), a kernel
-with no pinned digest skips the test, and a mismatch prints the
-environment the digests were pinned on next to the current one.  A change
-that alters the bits on purpose re-pins the digests and says so.
+rounding that differs between kernels.  So ``BITS.json``'s ``trials`` holds
+one digest per kernel (each computed by forcing it with
+``OPENBLAS_CORETYPE``), and the test matches on the kernel alone.  A kernel
+with no digest skips the test; a skip or a mismatch prints the digest
+computed here and the environment ``BITS.json`` records.  A change that
+alters the bits on purpose re-records the digests and says so.
 """
 
 import ctypes
 import hashlib
+import json
 import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lracma.harness import HISTORY_COLUMNS, TrialConfig, run_trial
+from lracma.harness import HISTORY_COLUMNS, TrialConfig, run_suite
 from lracma.problems import make_problem
-
-PINNED_DIGESTS = {
-    "SkylakeX": "e7be138b3db7c006f198c651adcb3b085bb9aa321cb5b4752e69dfb1d0ee914d",
-    "Haswell": "142251a098f2edeeaa65b5c7b054eaba3de914c9fd424e4a700ca4b01ba28a96",
-    "Sandybridge": "193c46430f78cc61f74b9d13b0ca4202a46c337e220961f976649d698962a088",
-    "Nehalem": "14d5f9895096f77bc5c2d2f33918c35c2fb980f9dbc06b62114bfe28c98d81c9",
-    "Katmai": "09a10286459ef4746d7f2df626f922d3866113c0754c957eb439c04274d7d3de",
-}
-PINNED_ENV = {
-    "python": "3.11.7",
-    "numpy": "2.4.6",
-    "blas": "scipy-openblas 0.3.31.188.0",
-    "machine": "x86_64",
-}
 
 MODES = (
     dict(optimizer="lra"),
@@ -62,10 +50,9 @@ def bit_configs():
     return configs
 
 
-def trials_digest(configs) -> str:
+def results_digest(results) -> str:
     h = hashlib.sha256()
-    for cfg in configs:
-        res = run_trial(cfg)
+    for res in results:
         for name in HISTORY_COLUMNS:
             h.update(res.history.column(name).astype("<f8").tobytes())
         tail = f"{res.evals}|{res.termination}|{res.reason}|{res.best_noiseless_fm!r}"
@@ -96,14 +83,19 @@ def current_env() -> dict:
     }
 
 
+def recorded_bits() -> dict:
+    return json.loads((Path(__file__).resolve().parents[1] / "BITS.json").read_text())
+
+
+def check_digest(name: str, digest: str, recorded) -> None:
+    """Fail unless ``digest`` is ``recorded``; skip when ``recorded`` is None."""
+    env = recorded_bits()["env"]
+    where = f"computed {digest} on {current_env()}\nBITS.json's environment: {env}"
+    if recorded is None:
+        pytest.skip(f"no {name} digest recorded for this environment; {where}")
+    assert digest == recorded, f"{name} bits changed from {recorded}: {where}"
+
+
 def test_trial_slice_matches_pinned_digest():
-    env = current_env()
-    pinned = PINNED_DIGESTS.get(env["blas_core"])
-    if pinned is None:
-        pytest.skip(f"no digest pinned for this BLAS kernel; running on: {env}")
-    digest = trials_digest(bit_configs())
-    assert digest == pinned, (
-        f"trial bits changed: {digest} != {pinned}\n"
-        f"pinned on: {PINNED_ENV} (one digest per kernel: {sorted(PINNED_DIGESTS)})\n"
-        f"running on: {env}"
-    )
+    digest = results_digest(run_suite(bit_configs()))
+    check_digest("trial slice", digest, recorded_bits()["trials"]["digests"].get(blas_core()))

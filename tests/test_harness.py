@@ -244,6 +244,9 @@ class TestRunTrial:
         for optimizer, eta in (("lra", {"eta_m": 0.5}), ("plain", {"eta_sigma": 0.2})):
             with pytest.raises(ValueError, match="eta_m = eta_sigma = 1"):
                 TrialConfig(problem=problem, optimizer=optimizer, **eta)
+        # rejected before any trial runs, so a pool never meets it
+        with pytest.raises(ValueError, match="population size must be at least 2"):
+            TrialConfig(problem=problem, population_size=1)
         with pytest.raises(ValueError):
             run_trial(TrialConfig(problem=problem, max_evals=5))  # below lambda
 

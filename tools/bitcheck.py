@@ -1,8 +1,7 @@
 """Whole-output bit checks, for comparing two commits of lracma.
 
     python tools/bitcheck.py artifacts
-    python tools/bitcheck.py trials
-    python tools/bitcheck.py grid [--acceptance]
+    python tools/bitcheck.py grid
 
 ``artifacts`` runs a fixed set of command lines in-process through
 ``lracma.cli.main``, each into its own directory under a temporary working
@@ -16,10 +15,8 @@ directory:
 It prints one SHA-256 over every case in order: its name, exit code and
 stdout, then each file it wrote (relative path and bytes, sorted by path).
 
-``trials`` prints the digest of the trial slice that ``tests/test_bits.py``
-pins, hashed with that test's byte layout.
-
-``grid`` hashes 134 trials with the same layout, in this order:
+``grid`` runs 134 trials through ``run_suite`` and hashes their results with
+``results_digest`` from ``tests/test_bits.py``, in this order:
 
 - 128 short trials at d = 10 and max_evals 6000: the eight problems in
   ``PROBLEM_NAMES`` order, then noise variance 0 and 1, then the modes
@@ -32,9 +29,8 @@ pins, hashed with that test's byte layout.
   d = 10, 1e7 evaluations allowed, seeds 0 and 1, which end
   ``numerical_error``/``covariance_degenerate``.
 
-With ``--acceptance`` it hashes instead the 80 trials of the acceptance
-batches, in the order of ``BATCHES`` in ``tests/test_acceptance.py`` (several
-minutes; recorded as ``acceptance``).
+``BITS.json``'s ``trials`` and ``acceptance`` digests are checked by
+``tests/test_bits.py`` and ``tests/test_acceptance.py``.
 
 The digests depend on the numpy and BLAS builds and on the BLAS kernel, so
 each mode prints them with the environment.  ``BITS.json`` records the
@@ -62,10 +58,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from lracma import cli  # noqa: E402
-from lracma.harness import TrialConfig  # noqa: E402
+from lracma.harness import TrialConfig, run_suite  # noqa: E402
 from lracma.problems import PROBLEM_NAMES, make_problem  # noqa: E402
-from test_acceptance import BATCHES, FIXED_UNIT, batch_configs  # noqa: E402
-from test_bits import MODES, bit_configs, current_env, trials_digest  # noqa: E402
+from test_acceptance import FIXED_UNIT  # noqa: E402
+from test_bits import MODES, current_env, recorded_bits, results_digest  # noqa: E402
 
 PRESETS = (
     ("suite", "noiseless_desk"),
@@ -170,26 +166,22 @@ def artifacts_digest():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv not in (["artifacts"], ["trials"], ["grid"], ["grid", "--acceptance"]):
+    if argv not in (["artifacts"], ["grid"]):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    mode = "acceptance" if argv[-1] == "--acceptance" else argv[0]
+    mode = argv[0]
     env = current_env()
     start = time.perf_counter()
     if mode == "artifacts":
         digest, n_cases, n_files, codes = artifacts_digest()
         report = {"digest": digest, "cases": n_cases, "files": n_files, "exit_codes": codes}
     else:
-        configs = {
-            "trials": bit_configs,
-            "grid": grid_configs,
-            "acceptance": lambda: [cfg for name in BATCHES for cfg in batch_configs(name)],
-        }[mode]()
-        report = {"digest": trials_digest(configs), "trials": len(configs)}
+        results = run_suite(grid_configs())
+        report = {"digest": results_digest(results), "trials": len(results)}
     report["seconds"] = round(time.perf_counter() - start, 1)
     print(json.dumps({"mode": mode, **report, "env": env}, indent=2))
 
-    recorded = json.loads((ROOT / "BITS.json").read_text())
+    recorded = recorded_bits()
     if recorded["env"] != env:
         print("BITS.json was recorded on another environment; nothing to compare")
         return 0
