@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -126,17 +126,18 @@ class Problem:
     ``noise_variance`` is the variance of the noise added by the noisy
     evaluators (0 means noiseless).  ``bounds``, when present, clip points
     before evaluation only.  Instances are immutable; evaluation is
-    re-entrant given a caller-supplied random generator.
+    re-entrant given a caller-supplied random generator.  Equality and
+    hashing skip the arrays, which ``make_problem`` derives from (name, d).
     """
 
     name: str
     d: int
     noise_variance: float
-    init_m: np.ndarray
+    init_m: np.ndarray = field(compare=False)
     init_sigma: float
-    optimum: np.ndarray
+    optimum: np.ndarray = field(compare=False)
     fn: Callable[[np.ndarray], np.ndarray]
-    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False)
 
     def _repair(self, x: np.ndarray) -> np.ndarray:
         if self.bounds is None:

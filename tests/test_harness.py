@@ -1,6 +1,7 @@
 """Tests for the trial runner, metrics, ECDF aggregation, and CSV output."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -249,6 +250,19 @@ class TestRunTrial:
             TrialConfig(problem=problem, population_size=1)
         with pytest.raises(ValueError):
             run_trial(TrialConfig(problem=problem, max_evals=5))  # below lambda
+
+    def test_configs_compare_and_hash_by_their_settings(self):
+        a, b = make_problem("ackley", 10), make_problem("ackley", 10)
+        assert a == b and hash(a) == hash(b)
+        for other in (make_problem("ackley", 11), make_problem("ackley", 10, 1.0),
+                      make_problem("sphere", 10)):
+            assert a != other
+        cfg = TrialConfig(problem=a, optimizer="fixed", eta_m=0.5, eta_sigma=0.2, seed=3)
+        same = TrialConfig(problem=b, optimizer="fixed", eta_m=0.5, eta_sigma=0.2, seed=3)
+        assert cfg == same and hash(cfg) == hash(same)
+        assert {cfg: "x"}[same] == "x"
+        assert cfg != TrialConfig(problem=a, optimizer="fixed", eta_m=0.5, eta_sigma=0.2, seed=4)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     def test_overflowing_objective_is_a_numerical_stop(self):
         # an objective that overflows to inf ends the trial, not the suite
