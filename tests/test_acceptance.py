@@ -28,15 +28,10 @@ from lracma.harness import (
     write_history_csv,
     write_results_csv,
 )
-from lracma.lra import (
-    EIG_FLOOR,
-    LraCmaEs,
-    LraHyperParams,
-    estimate_snr,
-    update_snr_state,
-)
+from lracma.lra import LraCmaEs, LraHyperParams, estimate_snr, update_snr_state
 from lracma.problems import make_problem
 from test_bits import FIXED_UNIT, check_digest, results_digest
+from test_lra import sqrt_C
 
 pytestmark = pytest.mark.acceptance
 
@@ -255,9 +250,7 @@ def test_criterion_8_reduction_to_plain_cma():
         xs = opt.ask()
         opt.tell(problem.evaluate_population(xs))
 
-        w, v = np.linalg.eigh(C)
-        root = (v * np.sqrt(np.maximum(w, EIG_FLOOR))) @ v.T
-        x, y, z = sample_population(m, sigma, root, sp, rng)
+        x, y, z = sample_population(m, sigma, sqrt_C(*np.linalg.eigh(C)), sp, rng)
         dy, dz, y_best = rank_and_recombine(y, z, problem.evaluate_population(x), sp)
         p_sigma, p_c, h_sigma, norm2 = update_paths(p_sigma, p_c, t, dy, dz, sp)
         t += 1

@@ -194,27 +194,6 @@ class TestEstimateSnr:
         snr = estimate_snr(np.array([0.1]), 1.0, 0.1)
         assert snr < 0 and math.isfinite(snr)
 
-    def test_iid_stream_oracle(self):
-        # stream N(mu, I) in d=5: true SNR = |mu|^2 / tr(I) = 1/5 and the
-        # signal estimator recovers |mu|^2 = 1 (time averages, 10% tolerance)
-        beta, d = 0.1, 5
-        mu = np.zeros(d)
-        mu[0] = 1.0
-        rng = np.random.default_rng(123)
-        E, V = np.zeros(d), 0.0
-        for _ in range(int(50 / beta)):
-            E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
-        snr_sum = 0.0
-        signal_sum = 0.0
-        n = 10_000
-        for _ in range(n):
-            E, V = update_snr_state(E, V, mu + rng.standard_normal(d), beta)
-            snr_sum += estimate_snr(E, V, beta)
-            e2 = float(E @ E)
-            signal_sum += (2 - beta) / (2 - 2 * beta) * e2 - beta / (2 - 2 * beta) * V
-        assert snr_sum / n == pytest.approx(1 / d, rel=0.10)
-        assert signal_sum / n == pytest.approx(1.0, rel=0.10)
-
     def test_moving_average_distribution(self):
         # E[E] ~= mu and tr Cov[E] ~= beta/(2-beta) d s^2 over a long stream
         beta, d, n = 0.1, 5, 10_000
@@ -458,13 +437,14 @@ class TestOptimizer:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"lr_mode": "fixed", "eta_m": 0.5, "eta_sigma": 0.2}],
-        ids=["adaptive", "fixed_blend"],
+        [{}, {"lr_mode": "fixed", "eta_m": 0.5, "eta_sigma": 0.2}, {"lr_mode": "fixed"}],
+        ids=["adaptive", "fixed_blend", "fixed_unit"],
     )
     def test_one_step_matches_manual_op_composition(self, kwargs):
         # tell() is exactly the documented chain of operations, threading one
         # eigendecomposition of the blended Sigma per generation; fixed eta
-        # skips the SNR layer and the step-size correction
+        # skips the SNR layer and the step-size correction, and at eta = 1
+        # the blend is the plain CMA-ES proposal, which the re-split keeps
         problem = make_problem("ellipsoid", 4)
         hp = LraHyperParams()
         opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=21, **kwargs)
@@ -478,7 +458,7 @@ class TestOptimizer:
         E_s, V_s, eta_s = np.zeros(16), 0.0, kwargs.get("eta_sigma", 1.0)
         w_c, v = np.linalg.eigh(C)
 
-        for _ in range(10):
+        for _ in range(100):
             xs = opt.ask()
             fitness = problem.evaluate_population(xs)
             opt.tell(fitness)
@@ -516,47 +496,9 @@ class TestOptimizer:
             assert opt.sigma == sigma
             assert np.array_equal(opt.C, C)
             assert opt.eta_m == eta_m and opt.eta_sigma == eta_s
-
-    def test_unit_eta_reduces_to_plain_update_plus_resplit(self):
-        # eta_m = eta_sigma = 1 pinned: bitwise equal to the plain CMA-ES
-        # update followed by the eigenvalue-based re-split, for 100
-        # generations, with samples drawn from the re-split's decomposition
-        problem = make_problem("sphere", 5)
-        opt = LraCmaEs(
-            problem.init_m,
-            problem.init_sigma,
-            lr_mode="fixed",
-            eta_m=1.0,
-            eta_sigma=1.0,
-            seed=7,
-        )
-        sp = opt.strategy
-        mirror_rng = np.random.default_rng(7)
-        m, sigma, C = problem.init_m.astype(float), problem.init_sigma, np.eye(5)
-        p_sigma, p_c, t = np.zeros(5), np.zeros(5), 0
-        w_c, v = np.linalg.eigh(C)
-        for _ in range(100):
-            xs = opt.ask()
-            fitness = problem.evaluate_population(xs)
-            opt.tell(fitness)
-
-            x, y, z = sample_population(m, sigma, sqrt_C(w_c, v), sp, mirror_rng)
-            dy, dz, y_best = rank_and_recombine(y, z, problem.evaluate_population(x), sp)
-            p_sigma, p_c, h, norm2 = update_paths(p_sigma, p_c, t, dy, dz, sp)
-            t += 1
-            m, sigma_prop, C_prop = cma_candidate_update(
-                m, sigma, C, norm2, p_c, h, dy, y_best, sp
-            )
-            plain_cov = sigma_prop**2 * C_prop
-            w, v = np.linalg.eigh(plain_cov)
-            sigma, C = decompose_sigma(plain_cov, w)
-            w_c = w / sigma**2
-
-            assert np.array_equal(opt.mean, m)
-            assert opt.sigma == sigma
-            assert np.array_equal(opt.C, C)
-            # the re-split changes the sigma/C factorization, not Sigma
-            assert opt.sigma**2 * opt.C == pytest.approx(plain_cov, rel=1e-12)
+            if not adaptive:
+                # the re-split changes the sigma/C factorization, not Sigma
+                assert opt.sigma**2 * opt.C == pytest.approx(cov_new, rel=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",
