@@ -12,8 +12,9 @@ with C's eigendecomposition and root, the two paths and t, and E, V and eta
 for each component), calls the ops by name from ``ask()``/``tell()``, and
 commits a generation's new state only after every op has succeeded.  As in
 `lracma.core`, products call ``a.dot(b)`` rather than ``a @ b``: the same
-BLAS routine with less per-call dispatch; ``eigh``/``slogdet`` call the LAPACK
-gufuncs behind ``numpy.linalg`` directly, with its failure semantics.
+BLAS routine with less per-call dispatch; ``eigh``/``cholesky``/``slogdet``
+call the LAPACK gufuncs behind ``numpy.linalg`` directly, with its failure
+semantics.
 
 Naming note: the ``_sigma`` suffix on eta/beta/snr refers to the *covariance*
 component Sigma = sigma^2 C of the distribution parameters, never to the
@@ -87,10 +88,15 @@ def check_learning_rates(lr_mode: str, eta_m: float, eta_sigma: float) -> None:
             raise ValueError(f"{name} must lie in (0, 1]")
 
 
+# numpy.linalg's rule for its LAPACK gufuncs: a failed factorization sets the
+# invalid flag, and only that flag is an error
+LAPACK_ERRSTATE = dict(invalid="raise", over="ignore", divide="ignore", under="ignore")
+
+
 def eigh_or_raise(a: np.ndarray):
     """``numpy.linalg.eigh(a)`` of a float64 matrix, failing as NumericalError."""
     try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        with np.errstate(**LAPACK_ERRSTATE):
             return _umath_linalg.eigh_lo(a, signature="d->dd")
     except FloatingPointError as exc:
         raise NumericalError("eigh_failed", "Eigenvalues did not converge") from exc
@@ -233,22 +239,30 @@ def apply_blended_update(
     return m_new, cov_new, (w, v), floored
 
 
-def decompose_sigma(cov: np.ndarray, w: np.ndarray):
+def decompose_sigma(cov: np.ndarray):
     """Split a full covariance into (sigma, C) with det(C) = 1.
 
-    ``w`` holds the eigenvalues of ``cov`` in ascending order, as
-    ``numpy.linalg.eigh`` returns them.  sigma = det(Sigma)^(1/(2d)),
-    taken as exp(sum(log w) / (2d)), and C = Sigma / sigma^2, whose
-    eigenvalues are then w / sigma^2.
+    sigma = det(Sigma)^(1/(2d)), with the log-determinant taken as
+    2 sum(log diag L) from the lower Cholesky factor L of Sigma (the result
+    of ``numpy.linalg.cholesky``), and C = Sigma / sigma^2.  The sum of
+    the log-eigenvalues is not used: its error grows like kappa eps.
 
     Raises:
-        NumericalError: with reason ``nonpositive_determinant`` if an
-            eigenvalue is not positive or the determinant is not finite.
+        NumericalError: with reason ``nonpositive_determinant`` if the
+            factorization fails, so Sigma is not numerically positive
+            definite, or the determinant is not finite.
     """
     d = cov.shape[0]
-    logdet = float(np.add.reduce(np.log(w))) if w[0] > 0 else math.nan
+    try:
+        with np.errstate(**LAPACK_ERRSTATE):
+            L = _umath_linalg.cholesky_lo(cov, signature="d->d")
+    except FloatingPointError as exc:
+        raise NumericalError(
+            "nonpositive_determinant", "Sigma is not positive definite"
+        ) from exc
+    logdet = 2.0 * float(np.add.reduce(np.log(L.diagonal())))
     if not math.isfinite(logdet):
-        raise NumericalError("nonpositive_determinant", f"min eigenvalue {w[0]:.3e}")
+        raise NumericalError("nonpositive_determinant", f"log-determinant {logdet}")
     sigma = math.exp(logdet / (2 * d))
     return sigma, cov / sigma**2
 
@@ -473,7 +487,7 @@ class LraCmaEs:
             m_new, cov_new, (w, v), floored = apply_blended_update(
                 m, cov, m_prop, cov_prop, delta_m, delta_sigma, eta_m, eta_sigma
             )
-            sigma_new, C_new = decompose_sigma(cov_new, w)
+            sigma_new, C_new = decompose_sigma(cov_new)
             w_c = w / sigma_new**2
             if self._lr_mode == "adaptive":
                 sigma_new = correct_step_size(sigma_new, self._eta_m, eta_m)

@@ -47,7 +47,8 @@ def rotated_diagonal(eigenvalues, rng):
 
 
 class TestDirectLapackCalls:
-    """``eigh_or_raise`` and ``slogdet`` give numpy.linalg's results bit for bit."""
+    """``eigh_or_raise``, ``slogdet`` and the split's ``cholesky_lo`` give
+    numpy.linalg's results bit for bit."""
 
     @staticmethod
     def matrices():
@@ -70,6 +71,19 @@ class TestDirectLapackCalls:
         for name, a in cases.items():
             assert slogdet(a) == np.linalg.slogdet(a), name
         assert slogdet(cases["singular"]) == (0.0, -math.inf)
+
+    def test_cholesky_matches_numpy(self):
+        for name, a in self.matrices().items():
+            L = _umath_linalg.cholesky_lo(a, signature="d->d")
+            assert np.array_equal(L, np.linalg.cholesky(a)), name
+
+    def test_cholesky_fails_on_a_matrix_that_is_not_positive_definite(self):
+        a = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        with pytest.raises(FloatingPointError):
+            with np.errstate(**lra.LAPACK_ERRSTATE):
+                _umath_linalg.cholesky_lo(a, signature="d->d")
 
     def test_nan_matrix_fails_as_eigh_failed(self):
         a = random_spd(5, np.random.default_rng(3))
@@ -308,17 +322,17 @@ class TestApplyBlendedUpdate:
 
 class TestDecomposeSigma:
     def test_isotropic(self):
-        sigma, C = decompose_sigma(4.0 * np.eye(2), np.full(2, 4.0))
+        sigma, C = decompose_sigma(4.0 * np.eye(2))
         assert sigma == pytest.approx(2.0, rel=1e-14)
         assert C == pytest.approx(np.eye(2), rel=1e-14)
 
     def test_identity_is_exact(self):
-        sigma, C = decompose_sigma(np.eye(3), np.ones(3))
+        sigma, C = decompose_sigma(np.eye(3))
         assert sigma == 1.0
         assert np.array_equal(C, np.eye(3))
 
     def test_diagonal_hand_value(self):
-        sigma, C = decompose_sigma(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
+        sigma, C = decompose_sigma(np.diag([1.0, 4.0]))
         assert sigma == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert C == pytest.approx(np.diag([0.5, 2.0]), rel=1e-14)
         assert np.linalg.det(C) == pytest.approx(1.0, abs=1e-12)
@@ -327,16 +341,28 @@ class TestDecomposeSigma:
         rng = np.random.default_rng(12)
         for _ in range(25):
             cov = random_spd(5, rng, scale=10.0 ** rng.integers(-3, 4))
-            sigma, C = decompose_sigma(cov, np.linalg.eigvalsh(cov))
+            sigma, C = decompose_sigma(cov)
             assert np.linalg.det(C) == pytest.approx(1.0, rel=1e-9)
             assert sigma**2 * C == pytest.approx(cov, rel=1e-12)
 
+    def test_unit_determinant_at_the_conditioning_limit(self):
+        # Sigma with one eigenvalue 4e6 (harness.KAPPA_LIMIT) below the other
+        # nine: a log-determinant from the eigenvalues drifts like kappa eps
+        # and breaks the 1e-9 bound of acceptance criterion 7; the Cholesky
+        # factor's keeps the LU determinant of C within it
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            cov = rotated_diagonal(np.r_[1.0, np.full(9, 4e6)], rng)
+            _, C = decompose_sigma(cov)
+            sign, logdet = slogdet(C)
+            assert abs(sign * math.exp(logdet) - 1.0) <= 1e-9
+
     def test_nonpositive_determinant_raises(self):
         with pytest.raises(NumericalError) as err:
-            decompose_sigma(np.diag([1.0, -1.0]), np.array([-1.0, 1.0]))
+            decompose_sigma(np.diag([1.0, -1.0]))
         assert err.value.reason == "nonpositive_determinant"
         with pytest.raises(NumericalError):
-            decompose_sigma(np.zeros((2, 2)), np.zeros(2))
+            decompose_sigma(np.zeros((2, 2)))
 
 
 class TestCorrectStepSize:
@@ -487,7 +513,7 @@ class TestOptimizer:
             m, cov_new, (w, v), _ = apply_blended_update(
                 m, cov, m_prop, cov_prop, delta_m, delta_sigma, eta_m, eta_s
             )
-            sigma, C = decompose_sigma(cov_new, w)
+            sigma, C = decompose_sigma(cov_new)
             w_c = w / sigma**2
             if adaptive:
                 sigma = correct_step_size(sigma, eta_m_old, eta_m)
@@ -511,12 +537,16 @@ class TestOptimizer:
         ids=["adaptive", "fixed_blend", "fixed_unit", "plain"],
     )
     def test_one_eigh_and_one_slogdet_per_tell(self, monkeypatch, kwargs):
+        # per generation: the one eigh, the LU slogdet behind det_c and, when
+        # the blend is re-split, the split's Cholesky factorization
         problem = make_problem("ellipsoid", 6)
         opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=5, **kwargs)
-        counts = {"eigh_or_raise": 0, "slogdet": 0}
+        counts = {"eigh_lo": 0, "cholesky_lo": 0, "slogdet": 0}
+        split = kwargs.get("lr_mode") != "plain"
+        expected = {"eigh_lo": 1, "cholesky_lo": int(split), "slogdet": 1}
 
         def counting(name):
-            fn = getattr(lra, name)
+            fn = getattr(_umath_linalg, name)
 
             def wrapper(*args, **kw):
                 counts[name] += 1
@@ -524,13 +554,13 @@ class TestOptimizer:
 
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(lra, name, counting(name))
+        lapack = SimpleNamespace(**{name: counting(name) for name in counts})
+        monkeypatch.setattr(lra, "_umath_linalg", lapack)
         for _ in range(30):
             fitness = problem.evaluate_population(opt.ask())
             before = dict(counts)
             stats = opt.tell(fitness)
-            assert {k: counts[k] - before[k] for k in counts} == {"eigh_or_raise": 1, "slogdet": 1}
+            assert {k: counts[k] - before[k] for k in counts} == expected
             assert stats.det_c == pytest.approx(np.linalg.det(opt.C), rel=1e-12)
 
     def test_eta_sigma_stays_high_on_sphere(self):
@@ -577,24 +607,31 @@ class TestOptimizer:
     )
     def test_late_failure_changes_no_state(self, monkeypatch, kwargs):
         # the generation's eigh runs after ranking, paths and the CMA
-        # proposal; when it fails, tell() must leave every state field as is
+        # proposal, and the split's Cholesky after the blend; when either
+        # fails, tell() must leave every state field as is
         problem = make_problem("ellipsoid", 4)
         opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=6, **kwargs)
         run_pairs(opt, problem, 5)
-        fitness = problem.evaluate_population(opt.ask())
-        before = state_bits(opt)
 
-        def failing(a, signature):
-            # LAPACK reports non-convergence through the invalid flag, as it
-            # does for a matrix full of NaN
-            return _umath_linalg.eigh_lo(np.full_like(a, np.nan), signature=signature)
+        def failing(name):
+            # LAPACK reports a failure through the invalid flag, as it does
+            # for a matrix full of NaN
+            fn = getattr(_umath_linalg, name)
+            return lambda a, signature: fn(np.full_like(a, np.nan), signature=signature)
 
-        lapack = SimpleNamespace(eigh_lo=failing, slogdet=_umath_linalg.slogdet)
-        monkeypatch.setattr(lra, "_umath_linalg", lapack)
-        with pytest.raises(NumericalError) as err:
-            opt.tell(fitness)
-        assert err.value.reason == "eigh_failed"
-        assert state_bits(opt) == before
+        failures = [("eigh_lo", "eigh_failed")]
+        if kwargs.get("lr_mode") != "plain":
+            failures.append(("cholesky_lo", "nonpositive_determinant"))
+        for name, reason in failures:
+            fitness = problem.evaluate_population(opt.ask())
+            before = state_bits(opt)
+            lapack = {n: getattr(_umath_linalg, n) for n in ("eigh_lo", "cholesky_lo", "slogdet")}
+            lapack[name] = failing(name)
+            monkeypatch.setattr(lra, "_umath_linalg", SimpleNamespace(**lapack))
+            with pytest.raises(NumericalError) as err:
+                opt.tell(fitness)
+            assert err.value.reason == reason
+            assert state_bits(opt) == before
 
     def test_fixed_mode_keeps_eta_pinned(self):
         problem = make_problem("sphere", 5)
