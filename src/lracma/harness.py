@@ -19,11 +19,11 @@ the column layout.  Row t = 0 is the starting state, then every
 
 The numerical-error stop is triggered by any of: the largest coordinate
 standard deviation sigma * sqrt(max eig C) dropping below 1e-16, the
-covariance condition number exceeding 4e6 (a degenerating axis), a
-non-finite value appearing in the state, or the positive-definiteness floor
-tripping persistently (more than 1% of generations, checked once at least
-100 generations ran).  Exceptions raised by the update itself (singular
-metric, nonpositive determinant, ...) are mapped to the same termination.
+covariance condition number exceeding 4e6 (a degenerating axis), or a
+non-finite f(m).  Exceptions raised by the update itself (non-finite
+fitness or state, singular metric, failed eigendecomposition, a Sigma that
+is not numerically positive definite) are mapped to the same termination;
+such a generation commits no state and adds no history row.
 
 Everything is a pure function of (config, seed): per-trial seeds are derived
 with SHA-256 from the base seed and the trial coordinates, so any subset of
@@ -63,10 +63,6 @@ SIGMA_COLLAPSE_TOL = 1e-16
 # 1.4e6-1.6e6 at d=10, 1.7e6-3.4e6 at d=20 and 1.8e6-2.4e6 at d=40, so the
 # margin below 4e6 can be as small as 1.2x.
 KAPPA_LIMIT = 4e6
-# Persistent-floor rule: abort when more than this fraction of generations
-# needed the positive-definiteness repair, checked after a warm-up.
-FLOOR_RATE_LIMIT = 0.01
-FLOOR_RATE_MIN_STEPS = 100
 
 # An in-memory history row is a generation's IterationStats and its f(m).
 HISTORY_COLUMNS = IterationStats._fields + ("f_m",)
@@ -223,7 +219,6 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
         return TrialResult(0, TERM_TARGET, "", improvements, history)
 
     termination, reason = TERM_BUDGET, ""
-    floored = 0  # generations that needed the positive-definiteness repair
     while opt.evals + lam <= cfg.max_evals:
         xs = opt.ask()
         fitness = problem.evaluate_population(xs, rng)
@@ -237,7 +232,6 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
             # trial like any other numerical failure
             termination, reason = TERM_NUMERICAL, "nonfinite_fitness"
             break
-        floored += stats.floored
         f_m = problem.evaluate_noiseless(opt.mean)
         if f_m < improvements[1][-1]:  # never true for NaN
             improvements[0].append(opt.evals)
@@ -252,8 +246,6 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
             termination, reason = TERM_NUMERICAL, "sigma_collapse"
         elif stats.eig_max > KAPPA_LIMIT * stats.eig_min:
             termination, reason = TERM_NUMERICAL, "covariance_degenerate"
-        elif stats.t >= FLOOR_RATE_MIN_STEPS and floored > FLOOR_RATE_LIMIT * stats.t:
-            termination, reason = TERM_NUMERICAL, "spd_floor_persistent"
         terminal = termination != TERM_BUDGET
         is_last = opt.evals + lam > cfg.max_evals
         if terminal or is_last or stats.t % cfg.history_every == 0:

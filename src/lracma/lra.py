@@ -23,7 +23,6 @@ scalar step-size, which is always plain ``sigma``.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -41,16 +40,10 @@ from .core import (
 )
 from .errors import NumericalError
 
-logger = logging.getLogger(__name__)
-
 # Absolute eigenvalue floor: C's square root raises eigenvalues below it
 # (negative round-off) before taking roots, and a metric whose smallest
 # eigenvalue is at or below it counts as singular.
 EIG_FLOOR = 1e-20
-# Relative floor for repairing a blended covariance that lost positive
-# definiteness to round-off: eigenvalues below 1e-20 * max eigenvalue are
-# raised to that level (and the event is reported to the caller).
-SPD_REL_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -198,12 +191,12 @@ def apply_blended_update(
 
     ``(m, cov)`` are the old mean and full covariance, ``(m_prop,
     cov_prop)`` the proposed ones and the deltas their differences, as
-    :func:`compute_deltas` returns them.  Returns ``(m_new, cov_new, (w, v),
-    floored)`` where ``cov_new`` is the full covariance Sigma, ``(w, v)`` its
-    eigendecomposition, the generation's only one, and ``floored`` reports
-    whether round-off pushed an eigenvalue of the blend below the relative
-    floor and it had to be raised.  A Sigma with no positive eigenvalue
-    raises NumericalError ``nonpositive_determinant``.
+    :func:`compute_deltas` returns them.  Returns ``(m_new, cov_new, (w,
+    v))`` where ``cov_new`` is the full covariance Sigma and ``(w, v)`` its
+    eigendecomposition, the generation's only one.  The blend
+    (1 - eta) Sigma + eta Sigma_prop of two positive definite matrices is
+    positive definite, so it is not repaired: a Sigma that round-off made
+    indefinite comes back as it is, and :func:`decompose_sigma` rejects it.
 
     When a component's eta is exactly 1, that component is taken from the
     proposal unchanged; a full step then reproduces the plain update bit for
@@ -216,27 +209,11 @@ def apply_blended_update(
     symmetrizes its proposal, and the re-split only divides by a scalar.
     """
     m_new = m_prop if eta_m == 1.0 else m + eta_m * delta_m
-    full_step = eta_sigma == 1.0
-    if full_step:
+    if eta_sigma == 1.0:
         cov_new = cov_prop
     else:
         cov_new = cov + eta_sigma * delta_sigma.reshape(cov.shape)
-    w, v = eigh_or_raise(cov_new)
-    if w[-1] <= 0:
-        raise NumericalError(
-            "nonpositive_determinant", "blended covariance has no positive eigenvalue"
-        )
-    floor = SPD_REL_FLOOR * w[-1]
-    floored = not full_step and bool(w[0] < floor)
-    if floored:
-        logger.warning(
-            "blended covariance lost positive definiteness (min eig %.3e); flooring",
-            w[0],
-        )
-        w = np.maximum(w, floor)
-        cov_new = (v * w).dot(v.T)
-        cov_new = (cov_new + cov_new.T) / 2.0
-    return m_new, cov_new, (w, v), floored
+    return m_new, cov_new, eigh_or_raise(cov_new)
 
 
 def decompose_sigma(cov: np.ndarray):
@@ -246,6 +223,10 @@ def decompose_sigma(cov: np.ndarray):
     2 sum(log diag L) from the lower Cholesky factor L of Sigma (the result
     of ``numpy.linalg.cholesky``), and C = Sigma / sigma^2.  The sum of
     the log-eigenvalues is not used: its error grows like kappa eps.
+
+    This factorization is the one test of positive definiteness: every mode
+    that blends calls it before it commits any state, and nothing repairs a
+    Sigma that fails it.
 
     Raises:
         NumericalError: with reason ``nonpositive_determinant`` if the
@@ -284,7 +265,9 @@ class IterationStats(NamedTuple):
     ``snr_m`` / ``snr_sigma`` are NaN when no estimate was formed (fixed and
     plain modes).  ``eig_min`` / ``eig_max`` are the eigenvalue extremes of
     the full covariance sigma^2 C after the update, and ``det_c`` the
-    determinant of the shape matrix C (1 after every re-split).  A trial's
+    determinant of the shape matrix C (1 after every re-split).  ``floored``
+    is always False: nothing repairs the covariance, and the field stays
+    only because the benchmark's per-generation hook reads it.  A trial's
     in-memory history row is this tuple followed by the noiseless f(m).
     """
 
@@ -425,7 +408,7 @@ class LraCmaEs:
 
     def initial_stats(self) -> IterationStats:
         """A t = 0 record of the starting state, for history logging."""
-        return self._make_stats(math.nan, math.nan, False)
+        return self._make_stats(math.nan, math.nan)
 
     # -- ask / tell -------------------------------------------------------
 
@@ -466,7 +449,6 @@ class LraCmaEs:
         E_m, V_m, eta_m = self._E_m, self._V_m, self._eta_m
         E_sigma, V_sigma, eta_sigma = self._E_sigma, self._V_sigma, self._eta_sigma
         snr_m = snr_sigma = math.nan
-        floored = False
         if self._lr_mode == "plain":
             m_new, sigma_new, C_new = m_prop, sigma_prop, C_prop
             w_c, v = eigh_or_raise(C_new)
@@ -484,7 +466,7 @@ class LraCmaEs:
                 snr_sigma = estimate_snr(E_sigma, V_sigma, hp.beta_sigma)
                 eta_m = adapt_learning_rate(eta_m, snr_m, hp, hp.beta_m)
                 eta_sigma = adapt_learning_rate(eta_sigma, snr_sigma, hp, hp.beta_sigma)
-            m_new, cov_new, (w, v), floored = apply_blended_update(
+            m_new, cov_new, (w, v) = apply_blended_update(
                 m, cov, m_prop, cov_prop, delta_m, delta_sigma, eta_m, eta_sigma
             )
             sigma_new, C_new = decompose_sigma(cov_new)
@@ -501,7 +483,7 @@ class LraCmaEs:
         self._E_m, self._V_m, self._eta_m = E_m, V_m, eta_m
         self._E_sigma, self._V_sigma, self._eta_sigma = E_sigma, V_sigma, eta_sigma
         self._refresh_cov_cache(w_c, v)
-        return self._make_stats(snr_m, snr_sigma, floored)
+        return self._make_stats(snr_m, snr_sigma)
 
     # -- internals --------------------------------------------------------
 
@@ -511,7 +493,7 @@ class LraCmaEs:
         self._w_C, self._v_C = w, v
         self._sqrt_C = (v * np.sqrt(np.maximum(w, EIG_FLOOR))).dot(v.T)
 
-    def _make_stats(self, snr_m: float, snr_sigma: float, floored: bool) -> IterationStats:
+    def _make_stats(self, snr_m: float, snr_sigma: float) -> IterationStats:
         scale = self._sigma**2
         # LU-based determinant: noticeably less noise than the eigenvalue
         # product on ill-conditioned shapes
@@ -520,5 +502,5 @@ class LraCmaEs:
         w = self._w_C
         return IterationStats(
             self._t, self.evals, self._sigma, self._eta_m, self._eta_sigma, snr_m,
-            snr_sigma, scale * float(w[0]), scale * float(w[-1]), det_c, floored,
+            snr_sigma, scale * float(w[0]), scale * float(w[-1]), det_c, False,
         )

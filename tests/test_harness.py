@@ -194,35 +194,41 @@ class TestRunTrial:
         ]
         assert np.array_equal(res.history.data, np.array(rows), equal_nan=True)
 
-    @pytest.mark.parametrize(
-        "every, ends",
-        [(1, TERM_NUMERICAL), (50, TERM_NUMERICAL), (100, TERM_BUDGET), (200, TERM_BUDGET)],
-    )
-    def test_persistent_floor_stop(self, monkeypatch, every, ends):
-        # every `every`-th blend reports a floor repair; the stop fires once
-        # more than 1% of at least 100 generations needed one, so 1 repair
-        # in 100 generations (every=100) is still allowed
+    def test_indefinite_blend_ends_the_trial_before_its_generation_commits(self, monkeypatch):
+        # at generation K the proposal sigma_prop = 1, C_prop = 2 D - Sigma
+        # makes the eta_sigma = 0.5 blend Sigma + 0.5 (C_prop - Sigma) an
+        # exactly diagonal D with one negative entry.  The split's Cholesky
+        # factorization rejects it, so generation K adds no row and spends
+        # no evaluations.
         import lracma.lra
 
-        blend = lracma.lra.apply_blended_update
+        propose = lracma.lra.cma_candidate_update
+        K, D = 5, np.diag([1.0, -0.5, 1.0, 1.0, 1.0])
         calls = 0
 
-        def reporting(*args):
+        def indefinite_at_k(m, sigma, C, *rest):
             nonlocal calls
             calls += 1
-            m, cov, wv, floored = blend(*args)
-            return m, cov, wv, floored or calls % every == 0
+            m_prop, sigma_prop, C_prop = propose(m, sigma, C, *rest)
+            if calls == K:
+                return m_prop, 1.0, 2.0 * D - sigma**2 * C
+            return m_prop, sigma_prop, C_prop
 
-        monkeypatch.setattr(lracma.lra, "apply_blended_update", reporting)
+        monkeypatch.setattr(lracma.lra, "cma_candidate_update", indefinite_at_k)
         problem = make_problem("sphere", 5)  # lambda = 8
-        cfg = TrialConfig(problem=problem, max_evals=400 * 8, target_f=1e-30, seed=0)
+        cfg = TrialConfig(
+            problem=problem,
+            optimizer="fixed",
+            eta_m=1.0,
+            eta_sigma=0.5,
+            max_evals=100 * 8,
+            target_f=1e-30,
+            seed=0,
+        )
         res = run_trial(cfg)
-        assert res.termination == ends
-        if ends == TERM_NUMERICAL:
-            assert res.reason == "spd_floor_persistent"
-            assert res.evals == 100 * 8
-        else:
-            assert res.evals == 400 * 8
+        assert (res.termination, res.reason) == (TERM_NUMERICAL, "nonpositive_determinant")
+        assert res.history.column("t").tolist() == list(range(K))
+        assert res.evals == (K - 1) * 8
 
     def test_determinism(self):
         cfg = TrialConfig(

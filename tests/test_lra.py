@@ -285,38 +285,28 @@ class TestApplyBlendedUpdate:
     def test_full_step_returns_proposed_exactly(self):
         m_prop = np.array([1.5, 1.0])
         cov_prop = 1.2**2 * np.array([[1.1, 0.1], [0.1, 0.9]])
-        m_new, cov_new, (w, v), floored = self.blend(m_prop, cov_prop, 1.0, 1.0)
+        m_new, cov_new, (w, v) = self.blend(m_prop, cov_prop, 1.0, 1.0)
         assert m_new is m_prop
         assert cov_new is cov_prop
         assert (v * w) @ v.T == pytest.approx(cov_new, rel=1e-12)
-        assert not floored
 
     def test_null_step_returns_old(self):
-        m_new, cov_new, _, _ = self.blend(np.array([6.0, 7.0]), 4.0 * np.eye(2), 0.0, 0.0)
+        m_new, cov_new, _ = self.blend(np.array([6.0, 7.0]), 4.0 * np.eye(2), 0.0, 0.0)
         assert np.array_equal(m_new, self.M)
         assert np.array_equal(cov_new, self.COV)
 
     def test_half_step_on_covariance(self):
-        _, cov_new, (w, _), floored = self.blend(self.M, 2.0 * np.eye(2), 1.0, 0.5)
+        _, cov_new, (w, _) = self.blend(self.M, 2.0 * np.eye(2), 1.0, 0.5)
         assert np.array_equal(cov_new, 1.5 * np.eye(2))
         assert w == pytest.approx([1.5, 1.5], rel=1e-14)
-        assert not floored
 
-    def test_indefinite_result_is_floored_with_warning(self, caplog):
+    def test_indefinite_blend_is_returned_unrepaired_and_the_split_rejects_it(self):
         # half of the step to diag(1, -2) lands on diag(1, -0.5)
-        with caplog.at_level("WARNING", logger="lracma.lra"):
-            _, cov_new, (w, v), floored = self.blend(self.M, np.diag([1.0, -2.0]), 1.0, 0.5)
-        assert floored
-        assert np.all(np.linalg.eigvalsh(cov_new) > 0)
-        # the returned decomposition is the floored one
-        assert np.all(w > 0)
-        assert (v * w) @ v.T == pytest.approx(cov_new, rel=1e-12)
-        assert any("positive definiteness" in r.message for r in caplog.records)
-
-    def test_fully_collapsed_covariance_raises(self):
-        # half of the step to -3 I lands on -I
+        _, cov_new, (w, _) = self.blend(self.M, np.diag([1.0, -2.0]), 1.0, 0.5)
+        assert np.array_equal(cov_new, np.diag([1.0, -0.5]))
+        assert w == pytest.approx([-0.5, 1.0], rel=1e-14)
         with pytest.raises(NumericalError) as err:
-            self.blend(self.M, -3.0 * np.eye(2), 1.0, 0.5)
+            decompose_sigma(cov_new)
         assert err.value.reason == "nonpositive_determinant"
 
 
@@ -510,7 +500,7 @@ class TestOptimizer:
                 eta_s = adapt_learning_rate(
                     eta_s, estimate_snr(E_s, V_s, hp.beta_sigma), hp, hp.beta_sigma
                 )
-            m, cov_new, (w, v), _ = apply_blended_update(
+            m, cov_new, (w, v) = apply_blended_update(
                 m, cov, m_prop, cov_prop, delta_m, delta_sigma, eta_m, eta_s
             )
             sigma, C = decompose_sigma(cov_new)
