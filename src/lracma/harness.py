@@ -12,10 +12,11 @@ are read off those two.  Its improvement record owns the best-so-far f(m):
 not depend on which rows the history keeps.
 
 The history keeps one row per recorded generation: the generation's
-`IterationStats` followed by its noiseless f(m), so the stats tuple owns
-the column layout.  Row t = 0 is the starting state, then every
-``history_every``-th generation and the one that ends the trial; a
-``tell()`` that raises adds no row.
+`IterationStats` with `lra.det_c` of the committed C before ``floored``
+(the witness of det C = 1, taken only for kept rows), then its noiseless
+f(m).  Row t = 0 is the starting state, then every ``history_every``-th
+generation and the one that ends the trial; a ``tell()`` that raises adds
+no row.
 
 The numerical-error stop is triggered by any of: the largest coordinate
 standard deviation sigma * sqrt(max eig C) dropping below 1e-16, the
@@ -43,7 +44,7 @@ import numpy as np
 
 from .core import default_population_size
 from .errors import InvalidFitnessError, NumericalError
-from .lra import IterationStats, LraCmaEs, LraHyperParams, check_learning_rates
+from .lra import IterationStats, LraCmaEs, LraHyperParams, check_learning_rates, det_c
 from .problems import Problem
 
 TERM_TARGET = "target_hit"
@@ -64,8 +65,8 @@ SIGMA_COLLAPSE_TOL = 1e-16
 # margin below 4e6 can be as small as 1.2x.
 KAPPA_LIMIT = 4e6
 
-# An in-memory history row is a generation's IterationStats and its f(m).
-HISTORY_COLUMNS = IterationStats._fields + ("f_m",)
+# An in-memory history row: IterationStats with det C before floored, then f(m).
+HISTORY_COLUMNS = IterationStats._fields[:-1] + ("det_c", "floored", "f_m")
 # The documented file schema; det_c and floored stay in memory.
 HISTORY_CSV_COLUMNS = (
     "t",
@@ -214,7 +215,8 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
     history = History()
     f_m = problem.evaluate_noiseless(opt.mean)
     improvements = ([0], [f_m])
-    history.append((*opt.initial_stats(), f_m))
+    stats = opt.initial_stats()
+    history.append((*stats[:-1], det_c(opt.C), stats.floored, f_m))
     if f_m <= cfg.target_f:
         return TrialResult(0, TERM_TARGET, "", improvements, history)
 
@@ -249,7 +251,7 @@ def run_trial(cfg: TrialConfig, on_iteration=None) -> TrialResult:
         terminal = termination != TERM_BUDGET
         is_last = opt.evals + lam > cfg.max_evals
         if terminal or is_last or stats.t % cfg.history_every == 0:
-            history.append((*stats, f_m))
+            history.append((*stats[:-1], det_c(opt.C), stats.floored, f_m))
         if terminal:
             break
 

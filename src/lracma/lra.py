@@ -14,7 +14,7 @@ commits a generation's new state only after every op has succeeded.  As in
 `lracma.core`, products call ``a.dot(b)`` rather than ``a @ b``: the same
 BLAS routine with less per-call dispatch; ``eigh``/``cholesky``/``slogdet``
 call the LAPACK gufuncs behind ``numpy.linalg`` directly, with its failure
-semantics.
+semantics.  ``tell()`` runs no ``slogdet``; recorders call :func:`det_c`.
 
 Naming note: the ``_sigma`` suffix on eta/beta/snr refers to the *covariance*
 component Sigma = sigma^2 C of the distribution parameters, never to the
@@ -95,9 +95,10 @@ def eigh_or_raise(a: np.ndarray):
         raise NumericalError("eigh_failed", "Eigenvalues did not converge") from exc
 
 
-def slogdet(a: np.ndarray):
-    """``numpy.linalg.slogdet(a)`` of a float64 matrix, as ``(sign, logdet)``."""
-    return _umath_linalg.slogdet(a, signature="d->dd")
+def det_c(C: np.ndarray) -> float:
+    """det(C) from ``numpy.linalg.slogdet``'s LU, independent of the split's factors."""
+    sign, logdet = _umath_linalg.slogdet(C, signature="d->dd")
+    return float(sign * np.exp(logdet))
 
 
 def compute_deltas(m: np.ndarray, cov: np.ndarray, m_prop: np.ndarray, cov_prop: np.ndarray):
@@ -264,11 +265,11 @@ class IterationStats(NamedTuple):
 
     ``snr_m`` / ``snr_sigma`` are NaN when no estimate was formed (fixed and
     plain modes).  ``eig_min`` / ``eig_max`` are the eigenvalue extremes of
-    the full covariance sigma^2 C after the update, and ``det_c`` the
-    determinant of the shape matrix C (1 after every re-split).  ``floored``
-    is always False: nothing repairs the covariance, and the field stays
-    only because the benchmark's per-generation hook reads it.  A trial's
-    in-memory history row is this tuple followed by the noiseless f(m).
+    the full covariance sigma^2 C after the update.  ``floored`` is always
+    False: nothing repairs the covariance, and the field stays only because
+    the benchmark's per-generation hook reads it.  The record holds no det C:
+    a trial's in-memory history row inserts :func:`det_c` of the committed C
+    before ``floored`` and appends the noiseless f(m).
     """
 
     t: int
@@ -280,7 +281,6 @@ class IterationStats(NamedTuple):
     snr_sigma: float
     eig_min: float
     eig_max: float
-    det_c: float
     floored: bool
 
 
@@ -494,13 +494,8 @@ class LraCmaEs:
         self._sqrt_C = (v * np.sqrt(np.maximum(w, EIG_FLOOR))).dot(v.T)
 
     def _make_stats(self, snr_m: float, snr_sigma: float) -> IterationStats:
-        scale = self._sigma**2
-        # LU-based determinant: noticeably less noise than the eigenvalue
-        # product on ill-conditioned shapes
-        sign, logdet = slogdet(self._C)
-        det_c = float(sign * np.exp(logdet)) if sign != 0 else 0.0
-        w = self._w_C
+        scale, w = self._sigma**2, self._w_C
         return IterationStats(
             self._t, self.evals, self._sigma, self._eta_m, self._eta_sigma, snr_m,
-            snr_sigma, scale * float(w[0]), scale * float(w[-1]), det_c, False,
+            snr_sigma, scale * float(w[0]), scale * float(w[-1]), False,
         )

@@ -3,10 +3,13 @@
 import math
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+from lracma import harness, lra
 from lracma.harness import (
     HISTORY_COLUMNS,
     HISTORY_CSV_COLUMNS,
@@ -31,6 +34,26 @@ from lracma.harness import (
 )
 from lracma.lra import LraCmaEs
 from lracma.problems import Problem, make_problem
+
+
+def lu_det(C):
+    """det C from numpy.linalg.slogdet, by the formula the history records."""
+    sign, logdet = np.linalg.slogdet(C)
+    return float(sign * np.exp(logdet))
+
+
+def run_trial_seeing_c(monkeypatch, cfg):
+    """run_trial(cfg), and each on_iteration call's (stats, f_m, committed C)."""
+    opts, told = [], []
+
+    class Recording(LraCmaEs):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+
+    monkeypatch.setattr(harness, "LraCmaEs", Recording)
+    res = run_trial(cfg, on_iteration=lambda stats, f_m: told.append((stats, f_m, opts[0].C)))
+    return res, told
 
 
 def synthetic_result(success, evals):
@@ -164,7 +187,9 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("history_every", [1, 7])
     @pytest.mark.parametrize("trial", list(HISTORY_TRIALS))
-    def test_history_holds_initial_every_kth_and_last_row(self, trial, history_every):
+    def test_history_holds_initial_every_kth_and_last_row(
+        self, monkeypatch, trial, history_every
+    ):
         (name, d), optimizer, eta_m, eta_sigma, max_evals, ends = self.HISTORY_TRIALS[trial]
         problem = make_problem(name, d)
         cfg = TrialConfig(
@@ -176,8 +201,7 @@ class TestRunTrial:
             seed=0,
             history_every=history_every,
         )
-        told = []
-        res = run_trial(cfg, on_iteration=lambda stats, f_m: told.append((stats, f_m)))
+        res, told = run_trial_seeing_c(monkeypatch, cfg)
         assert res.termination == ends
         opt = LraCmaEs(
             problem.init_m,
@@ -186,13 +210,42 @@ class TestRunTrial:
             eta_m=eta_m,
             eta_sigma=eta_sigma,
         )
-        rows = [(*opt.initial_stats(), problem.evaluate_noiseless(problem.init_m))]
-        rows += [
-            (*stats, f_m)
-            for i, (stats, f_m) in enumerate(told)
+        told.insert(0, (opt.initial_stats(), problem.evaluate_noiseless(problem.init_m), opt.C))
+        rows = [
+            (*stats[:-1], lu_det(C), stats.floored, f_m)
+            for i, (stats, f_m, C) in enumerate(told)
             if stats.t % history_every == 0 or i == len(told) - 1
         ]
         assert np.array_equal(res.history.data, np.array(rows), equal_nan=True)
+
+    def test_one_lu_per_kept_row(self, monkeypatch):
+        # tell() takes no det C; run_trial takes one LU determinant of the
+        # committed C for each row it keeps, and none for the rows it skips
+        cfg = TrialConfig(
+            problem=make_problem("ellipsoid", 6),
+            max_evals=60 * 9,
+            target_f=1e-30,
+            seed=1,
+            history_every=7,
+        )
+        calls = 0
+
+        def counting_slogdet(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return _umath_linalg.slogdet(*args, **kwargs)
+
+        lapack = {n: getattr(_umath_linalg, n) for n in ("eigh_lo", "cholesky_lo")}
+        lapack["slogdet"] = counting_slogdet
+        monkeypatch.setattr(lra, "_umath_linalg", SimpleNamespace(**lapack))
+        res, told = run_trial_seeing_c(monkeypatch, cfg)
+        assert res.termination == TERM_BUDGET and len(told) == 60
+        assert res.history.column("t").tolist() == [0, *range(7, 60, 7), 60]
+        assert calls == len(res.history)
+        C_at = {stats.t: C for stats, _, C in told}
+        C_at[0] = np.eye(6)
+        for t, det in zip(res.history.column("t"), res.history.column("det_c")):
+            assert det == lu_det(C_at[t])
 
     def test_indefinite_blend_ends_the_trial_before_its_generation_commits(self, monkeypatch):
         # at generation K the proposal sigma_prop = 1, C_prop = 2 D - Sigma

@@ -26,9 +26,9 @@ from lracma.lra import (
     compute_deltas,
     correct_step_size,
     decompose_sigma,
+    det_c,
     eigh_or_raise,
     estimate_snr,
-    slogdet,
     to_local_coordinates,
     update_snr_state,
 )
@@ -47,8 +47,8 @@ def rotated_diagonal(eigenvalues, rng):
 
 
 class TestDirectLapackCalls:
-    """``eigh_or_raise``, ``slogdet`` and the split's ``cholesky_lo`` give
-    numpy.linalg's results bit for bit."""
+    """``eigh_or_raise``, ``det_c``'s ``slogdet`` and the split's
+    ``cholesky_lo`` give numpy.linalg's results bit for bit."""
 
     @staticmethod
     def matrices():
@@ -69,8 +69,9 @@ class TestDirectLapackCalls:
         cases = self.matrices()
         cases["singular"] = np.ones((4, 4))
         for name, a in cases.items():
-            assert slogdet(a) == np.linalg.slogdet(a), name
-        assert slogdet(cases["singular"]) == (0.0, -math.inf)
+            sign, logdet = np.linalg.slogdet(a)
+            assert det_c(a) == float(sign * np.exp(logdet)), name
+        assert det_c(cases["singular"]) == 0.0
 
     def test_cholesky_matches_numpy(self):
         for name, a in self.matrices().items():
@@ -344,8 +345,7 @@ class TestDecomposeSigma:
         for _ in range(50):
             cov = rotated_diagonal(np.r_[1.0, np.full(9, 4e6)], rng)
             _, C = decompose_sigma(cov)
-            sign, logdet = slogdet(C)
-            assert abs(sign * math.exp(logdet) - 1.0) <= 1e-9
+            assert abs(det_c(C) - 1.0) <= 1e-9
 
     def test_nonpositive_determinant_raises(self):
         with pytest.raises(NumericalError) as err:
@@ -407,7 +407,7 @@ class TestOptimizer:
         for _ in range(10):
             stats = run_pairs(opt, problem, 1)
             assert 0 < stats.eta_m <= 1 and 0 < stats.eta_sigma <= 1
-            assert stats.det_c == pytest.approx(1.0, rel=1e-9)
+            assert det_c(opt.C) == pytest.approx(1.0, rel=1e-9)
             assert stats.eig_min > 0
             assert stats.sigma > 0
             assert abs(math.log(stats.eta_m / prev[0])) <= min(
@@ -526,14 +526,15 @@ class TestOptimizer:
         ],
         ids=["adaptive", "fixed_blend", "fixed_unit", "plain"],
     )
-    def test_one_eigh_and_one_slogdet_per_tell(self, monkeypatch, kwargs):
-        # per generation: the one eigh, the LU slogdet behind det_c and, when
-        # the blend is re-split, the split's Cholesky factorization
+    def test_one_eigh_and_no_lu_per_tell(self, monkeypatch, kwargs):
+        # per generation: the one eigh and, when the blend is re-split, the
+        # split's Cholesky factorization; the LU behind det C is left to
+        # whoever records the state
         problem = make_problem("ellipsoid", 6)
         opt = LraCmaEs(problem.init_m, problem.init_sigma, seed=5, **kwargs)
         counts = {"eigh_lo": 0, "cholesky_lo": 0, "slogdet": 0}
         split = kwargs.get("lr_mode") != "plain"
-        expected = {"eigh_lo": 1, "cholesky_lo": int(split), "slogdet": 1}
+        expected = {"eigh_lo": 1, "cholesky_lo": int(split), "slogdet": 0}
 
         def counting(name):
             fn = getattr(_umath_linalg, name)
@@ -549,9 +550,8 @@ class TestOptimizer:
         for _ in range(30):
             fitness = problem.evaluate_population(opt.ask())
             before = dict(counts)
-            stats = opt.tell(fitness)
+            opt.tell(fitness)
             assert {k: counts[k] - before[k] for k in counts} == expected
-            assert stats.det_c == pytest.approx(np.linalg.det(opt.C), rel=1e-12)
 
     def test_eta_sigma_stays_high_on_sphere(self):
         # qualitative noiseless-Sphere behavior: eta_sigma never collapses
