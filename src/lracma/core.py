@@ -1,13 +1,14 @@
 """Plain CMA-ES generation step: sampling, ranking, evolution paths, update.
 
 This is the standard weighted-recombination CMA-ES with cumulative step-size
-adaptation and rank-one plus rank-mu covariance updates.  The operations are
-pure functions of plain arrays and floats that never mutate their inputs; the
-state they read and return (m, sigma, C, the two paths, t) lives as plain
-attributes of `lracma.lra.LraCmaEs`.  ``cma_candidate_update`` returns a
-*proposed* ``(m, sigma, C)``, so the learning-rate layer can blend old and
-proposed parameters afterwards.  Products and row gathers call ``a.dot(b)``
-and ``a.take(i, axis=0)``, the same BLAS routine and copy as ``a @ b`` and
+adaptation, rank-one plus rank-mu covariance updates and mean rate c_m = 1.
+The operations are pure functions of plain arrays, floats and the constants
+in `StrategyParams`, and never mutate their inputs; the state they read and
+return (m, sigma, C, the two paths, t) lives as plain attributes of
+`lracma.lra.LraCmaEs`.  ``cma_candidate_update`` returns a *proposed*
+``(m, sigma, C)``, so the learning-rate layer can blend old and proposed
+parameters afterwards.  Products and row gathers call ``a.dot(b)`` and
+``a.take(i, axis=0)``, the same BLAS routine and copy as ``a @ b`` and
 ``a[i]`` with less dispatch: at the default population size, per-call
 overhead rather than arithmetic sets the cost of a generation.
 """
@@ -15,7 +16,7 @@ overhead rather than arithmetic sets the cost of a generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,51 +28,48 @@ from .errors import InvalidFitnessError, NumericalError
 class StrategyParams:
     """Dimension-derived CMA-ES constants.
 
-    Use :func:`default_strategy_params` for the standard settings; direct
-    construction is validated so hand-built parameter sets stay coherent.
+    Use :func:`default_strategy_params` for the standard settings.  The
+    constructor checks hand-built choices for the public ops and sets
+    ``mu`` = ``weights.size``, ``mu_w`` = 1 / sum w_i^2 and ``chi_d`` ~ E|N(0, I)|
+    once, as plain fields that the ops read every generation.
     """
 
     d: int
     lam: int
-    mu: int
     weights: np.ndarray
-    mu_w: float
     c_sigma: float
     c_c: float
     c_1: float
     c_mu: float
-    c_m: float
     d_sigma: float
-    chi_d: float
+    mu: int = field(init=False)
+    mu_w: float = field(init=False)
+    chi_d: float = field(init=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
         if self.lam < 2:
             raise ValueError("population size must be at least 2")
-        if not 1 <= self.mu <= self.lam:
-            raise ValueError("parent number must satisfy 1 <= mu <= lambda")
         w = self.weights
-        if w.shape != (self.mu,):
-            raise ValueError("weights must have length mu")
+        if w.ndim != 1 or not 1 <= w.size <= self.lam:
+            raise ValueError("weights must be a vector of 1 to lambda values")
         if np.any(np.diff(w) > 0):
             raise ValueError("weights must be nonincreasing")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        mu_w = 1.0 / float(w @ w)
-        if abs(self.mu_w - mu_w) > 1e-12 * mu_w:
-            raise ValueError("mu_w is inconsistent with the weights")
-        chi_d = math.sqrt(self.d) * (1 - 1 / (4 * self.d) + 1 / (21 * self.d**2))
-        if abs(self.chi_d - chi_d) > 1e-12 * chi_d:
-            raise ValueError("chi_d does not match its defining formula")
         for name in ("c_sigma", "c_c"):
             val = getattr(self, name)
             if not 0 < val <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if self.c_1 < 0 or self.c_mu < 0:
             raise ValueError("covariance learning rates must be nonnegative")
-        if not self.c_m > 0 or not self.d_sigma > 0:
-            raise ValueError("c_m and d_sigma must be positive")
+        if not self.d_sigma > 0:
+            raise ValueError("d_sigma must be positive")
+        d = self.d
+        object.__setattr__(self, "mu", w.size)
+        object.__setattr__(self, "mu_w", 1.0 / float(w @ w))
+        object.__setattr__(self, "chi_d", math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d**2)))
 
 
 def default_population_size(d: int) -> int:
@@ -103,20 +101,15 @@ def default_strategy_params(d: int, lam: Optional[int] = None) -> StrategyParams
     c_c = (4 + mu_w / d) / (d + 4 + 2 * mu_w / d)
     c_1 = 2 / ((d + 1.3) ** 2 + mu_w)
     c_mu = min(1 - c_1, 2 * (mu_w - 2 + 1 / mu_w) / ((d + 2) ** 2 + mu_w))
-    chi_d = math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d**2))
     return StrategyParams(
         d=d,
         lam=lam,
-        mu=mu,
         weights=weights,
-        mu_w=mu_w,
         c_sigma=c_sigma,
         c_c=c_c,
         c_1=c_1,
         c_mu=c_mu,
-        c_m=1.0,
         d_sigma=d_sigma,
-        chi_d=chi_d,
     )
 
 
@@ -209,7 +202,7 @@ def cma_candidate_update(
     h_sigma correction, rank-one, and rank-mu terms; the result is
     explicitly symmetrized.
     """
-    m_new = m + sp.c_m * sigma * dy
+    m_new = m + sigma * dy
     sigma_new = sigma * math.exp(
         min(1.0, (sp.c_sigma / sp.d_sigma) * (math.sqrt(norm2) / sp.chi_d - 1.0))
     )

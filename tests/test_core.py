@@ -1,5 +1,6 @@
 """Tests for the plain CMA-ES step: constants, sampling, ranking, updates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,36 +25,117 @@ def sym_sqrt(a):
     return (v * np.sqrt(w)) @ v.T
 
 
-def make_strategy(d, lam, weights, **overrides):
-    """Hand-built StrategyParams with consistent derived constants."""
-    weights = np.asarray(weights, dtype=float)
-    kwargs = dict(
+def make_strategy(d, lam, weights):
+    """Hand-built StrategyParams; mu, mu_w and chi_d derive from d and the weights."""
+    return StrategyParams(
         d=d,
         lam=lam,
-        mu=len(weights),
-        weights=weights,
-        mu_w=1.0 / float(weights @ weights),
+        weights=np.asarray(weights, dtype=float),
         c_sigma=0.3,
         c_c=0.4,
         c_1=0.05,
         c_mu=0.1,
-        c_m=1.0,
         d_sigma=1.0,
-        chi_d=math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d**2)),
     )
-    kwargs.update(overrides)
-    return StrategyParams(**kwargs)
+
+
+# Table 1 of Hansen's CMA-ES tutorial (arXiv:1604.00772), positive weights
+# only, as the README's constant list spells it out: evaluated once in
+# 50-digit decimal arithmetic, independently of lracma, and rounded to 17
+# digits.  (d, lam) -> (lam argument, mu,
+#                       (mu_w, c_sigma, d_sigma, c_c, c_1, c_mu, chi_d),
+#                       weights)
+# A lam argument of None asks for the default 4 + floor(3 ln d).  The (1, 40)
+# row has both d_sigma's max(0, .) and c_mu's min(1 - c_1, .) active.
+TABLE_1 = {
+    (10, 10): (
+        None, 5,
+        (3.167299281410703, 0.28442858794636749, 1.2844285879463675, 0.29499038303562225,
+         0.015283824524751716, 0.020154282761208384, 3.0847265651690119),
+        (0.45627264690340585, 0.27075309700178518, 0.16223111715866978, 0.085233547100164439,
+         0.025509591835974739),
+    ),
+    (40, 15): (
+        None, 7,
+        (4.5409152090759557, 0.13203056870208268, 1.1320305687020826, 0.093009216634249173,
+         0.0011694327252618397, 0.0031225007109974062, 6.2852150803977596),
+        (0.3447961985920206, 0.22986413239468037, 0.1626331835388348, 0.11493206619734019,
+         0.07793220508496225, 0.047701117341494612, 0.022141096850667206),
+    ),
+    (1, 4): (
+        None, 2,
+        (1.4597898888525864, 0.46379186818956741, 1.4637918681895674, 0.68940398886096577,
+         0.29630551956928913, 0.027690800889192083, 0.79761904761904767),
+        (0.80416285993272951, 0.19583714006727049),
+    ),
+    (3, 7): (
+        None, 3,
+        (2.2548150822016049, 0.41490900109806167, 1.4149090010980616, 0.55880132288601891,
+         0.096409632579272139, 0.051243087013586167, 1.5968775302586078),
+        (0.58564510650976498, 0.29282255325488249, 0.1215323402353525),
+    ),
+    (30, 14): (
+        None, 7,
+        (4.2871350661907019, 0.16003037777120116, 1.1600303777712011, 0.12083438082715649,
+         0.0020325675554091639, 0.0049021153442583868, 5.431871828887874),
+        (0.36114811172448119, 0.23690947946564322, 0.16423453845333727, 0.11267084720680526,
+         0.072674941012305955, 0.039995906194499303, 0.0123661759429278),
+    ),
+    (2, 6): (
+        None, 3,
+        (2.0286114646100621, 0.44620498737831715, 1.4462049873783172, 0.62455453902682645,
+         0.15481539989641357, 0.057859085071916339, 1.254272742818995),
+        (0.63704257124121677, 0.28457025743803288, 0.078387171320750362),
+    ),
+    (100, 17): (
+        None, 8,
+        (5.0961888786101701, 0.064454446161022735, 1.0644544461610228, 0.038913420057841853,
+         0.00019480292695356598, 0.00063260323183746961, 9.9750476190476185),
+        (0.31509587526762262, 0.21569419380063068, 0.15754793763381131, 0.11629251233363878,
+         0.084292318390369644, 0.058146256166819392, 0.036040075540460736, 0.016890830866646875),
+    ),
+    (10, 24): (
+        24, 12,
+        (7.0263755575921509, 0.40979849517188949, 1.4097984951718894, 0.30526151086020409,
+         0.014846005110529319, 0.06844759963628784, 3.0847265651690119),
+        (0.24470488689697081, 0.1775494136421113, 0.13826598006983595, 0.11039394038725178,
+         0.088774706821055649, 0.071110506814976437, 0.056175638511833166,
+         0.043238467132392273, 0.0318270732427011, 0.021619233566196137, 0.012385119354558443,
+         0.003955033560116933),
+    ),
+    (1, 40): (
+        40, 20,
+        (11.309482088932262, 0.7689127855213177, 4.3097237458966253, 0.55431050890757838,
+         0.12048568679943961, 0.87951431320056039, 0.79761904761904767),
+        (0.16712470149808076, 0.1287718140693217, 0.1063368131291178, 0.090418926640562627,
+         0.07807205465719276, 0.06798392570035873, 0.059454534199832793, 0.052066039211803569,
+         0.045548924760154839, 0.039719167228433695, 0.034445510060994743,
+         0.029631038271599672, 0.025202153551306533, 0.021101646771073731,
+         0.017284166288229798, 0.013713151783044504, 0.010358699278370813,
+         0.0071960373313957769, 0.0042044157694505211, 0.0013662797996746303),
+    ),
+}
 
 
 class TestDefaultStrategyParams:
-    @pytest.mark.parametrize("d,lam", [(10, 10), (40, 15), (1, 4), (3, 7), (30, 14)])
+    @pytest.mark.parametrize("d,lam", list(TABLE_1))
     def test_default_lambda(self, d, lam):
-        assert default_strategy_params(d).lam == lam
+        """lam and every other Table 1 constant, by value."""
+        lam_arg, mu, scalars, weights = TABLE_1[d, lam]
+        sp = default_strategy_params(d, lam_arg)
+        assert (sp.lam, sp.mu) == (lam, mu)
+        np.testing.assert_allclose(sp.weights, weights, rtol=1e-14)
+        np.testing.assert_allclose(
+            (sp.mu_w, sp.c_sigma, sp.d_sigma, sp.c_c, sp.c_1, sp.c_mu, sp.chi_d),
+            scalars,
+            rtol=1e-14,
+        )
 
     def test_derived_constants_are_consistent(self):
         sp = default_strategy_params(10)
         assert sp.mu == 5
-        assert sp.c_m == 1.0
+        # The mean moves at rate c_m = 1, fixed in the update, not a field.
+        assert "c_m" not in {f.name for f in dataclasses.fields(sp)}
         assert np.all(np.diff(sp.weights) < 0)
         assert sp.weights.sum() == pytest.approx(1.0, abs=1e-15)
         assert sp.mu_w == pytest.approx(1.0 / np.sum(sp.weights**2), rel=1e-13)
@@ -63,10 +145,6 @@ class TestDefaultStrategyParams:
         assert 0 < sp.c_sigma <= 1 and 0 < sp.c_c <= 1
         assert sp.c_1 >= 0 and sp.c_mu >= 0 and sp.c_1 + sp.c_mu <= 1
 
-    def test_explicit_lambda_respected(self):
-        sp = default_strategy_params(10, 24)
-        assert sp.lam == 24 and sp.mu == 12
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             default_strategy_params(0)
@@ -75,12 +153,20 @@ class TestDefaultStrategyParams:
 
     def test_validation_rejects_incoherent_fields(self):
         sp = default_strategy_params(5)
-        with pytest.raises(ValueError):
-            StrategyParams(**{**sp.__dict__, "mu_w": sp.mu_w * 1.5})
-        with pytest.raises(ValueError):
-            StrategyParams(**{**sp.__dict__, "weights": sp.weights[::-1].copy()})
-        with pytest.raises(ValueError):
-            StrategyParams(**{**sp.__dict__, "chi_d": 1.0})
+        for change, match in (
+            ({"weights": sp.weights[::-1].copy()}, "nonincreasing"),
+            ({"weights": 2 * sp.weights}, "sum to 1"),
+            ({"weights": np.full(sp.lam + 1, 1 / (sp.lam + 1))}, "1 to lambda"),
+            ({"c_sigma": 0.0}, "c_sigma"),
+            ({"c_c": 1.5}, "c_c"),
+            ({"c_mu": -0.1}, "nonnegative"),
+            ({"d_sigma": 0.0}, "d_sigma"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                dataclasses.replace(sp, **change)
+        # new weights re-derive mu and mu_w
+        halves = dataclasses.replace(sp, weights=np.full(2, 0.5))
+        assert (halves.mu, halves.mu_w) == (2, 2.0)
 
 
 class TestSamplePopulation:
@@ -233,7 +319,7 @@ class TestCandidateUpdate:
         m_new, _, _ = self.update(
             sp, m, 0.5, np.eye(2), np.zeros(2), np.zeros(2), 1, dy, np.zeros((sp.mu, 2))
         )
-        assert np.array_equal(m_new, m + sp.c_m * 0.5 * dy)
+        assert np.array_equal(m_new, m + 0.5 * dy)
 
     def test_fixed_point_in_one_dimension(self):
         # dy = 0, every ranked y y^T = C, and p_c p_c^T = C leave C unchanged

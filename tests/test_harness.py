@@ -112,6 +112,31 @@ class TestRunTrial:
         assert res.reason in ("sigma_collapse", "covariance_degenerate", "nonpositive_determinant")
         assert res.best_noiseless_fm > 1e-8
 
+    @pytest.mark.parametrize(
+        "reported,reason",
+        [
+            (dict(eig_max=0.99e-32), "sigma_collapse"),
+            (dict(eig_max=1.01e-32), ""),
+            (dict(eig_min=1.0, eig_max=1.01 * 4e6), "covariance_degenerate"),
+            (dict(eig_min=1.0, eig_max=0.99 * 4e6), ""),
+        ],
+        ids=["sigma_collapse", "sigma_above_tol", "kappa_above_limit", "kappa_below_limit"],
+    )
+    def test_stop_thresholds_by_value(self, monkeypatch, reported, reason):
+        # Sigma's largest eigenvalue below 1e-32 (a coordinate standard
+        # deviation of 1e-16) and a condition number above 4e6 stop a trial
+        class Reporting(LraCmaEs):
+            def tell(self, fitness):
+                return super().tell(fitness)._replace(**reported)
+
+        monkeypatch.setattr(harness, "LraCmaEs", Reporting)
+        cfg = TrialConfig(problem=make_problem("sphere", 10), max_evals=30, target_f=1e-8, seed=0)
+        res = run_trial(cfg)
+        if reason:
+            assert (res.termination, res.reason, res.evals) == (TERM_NUMERICAL, reason, 10)
+        else:
+            assert (res.termination, res.reason, res.evals) == (TERM_BUDGET, "", 30)
+
     def test_history_structure(self):
         cfg = TrialConfig(
             problem=make_problem("sphere", 5),

@@ -161,8 +161,11 @@ class TestLocalCoordinates:
             assert float(tilde_sigma @ tilde_sigma) == pytest.approx(expected, rel=1e-9)
 
     def test_singular_metric_raises(self):
-        with pytest.raises(NumericalError, match="singular_metric"):
-            to_local_coordinates(np.zeros(2), np.zeros(4), np.array([0.0, 1.0]), np.eye(2))
+        # singular at or below a smallest eigenvalue of 1e-20, by value
+        for w0 in (0.0, 0.99e-20):
+            with pytest.raises(NumericalError, match="singular_metric"):
+                to_local_coordinates(np.zeros(2), np.zeros(4), np.array([w0, 1.0]), np.eye(2))
+        to_local_coordinates(np.zeros(2), np.zeros(4), np.array([1.01e-20, 1.0]), np.eye(2))
 
 
 class TestSnrState:
@@ -231,6 +234,9 @@ class TestEstimateSnr:
 
 class TestAdaptLearningRate:
     HP = LraHyperParams()
+
+    def test_defaults_are_the_papers(self):
+        assert self.HP == LraHyperParams(alpha=1.4, beta_m=0.1, beta_sigma=0.03, gamma=0.1)
 
     def test_on_target_is_neutral(self):
         for eta in (1.0, 0.5, 0.037):
@@ -655,7 +661,7 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             LraCmaEs(np.zeros(3), 1.0, lr_mode="fixed", eta_m=0.0)
         # cov must be finite, 3 x 3, exactly symmetric and positive definite
-        # above the eigenvalue floor once scaled by sigma^2
+        # above the eigenvalue floor of 1e-20 once scaled by sigma^2
         for cov, sigma, match in (
             (np.eye(2), 1.0, "finite 3 x 3"),
             (np.diag([1.0, np.nan, 1.0]), 1.0, "finite 3 x 3"),
@@ -663,10 +669,11 @@ class TestOptimizer:
             (np.eye(3) + np.triu(np.full((3, 3), 0.1), 1), 1.0, "symmetric"),
             (np.diag([1.0, -1.0, 1.0]), 1.0, "positive definite"),
             (np.diag([1.0, 0.0, 1.0]), 1.0, "positive definite"),
-            (np.eye(3), 1e-11, "positive definite"),
+            (np.eye(3), 0.99e-10, "positive definite"),
         ):
             with pytest.raises(ValueError, match=match):
                 LraCmaEs(np.zeros(3), sigma, cov=cov)
+        LraCmaEs(np.zeros(3), 1.01e-10, cov=np.eye(3))
         cov = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 3.0]])
         opt = LraCmaEs(np.zeros(3), 0.5, cov=cov, seed=0)
         assert np.array_equal(opt.C, cov)
