@@ -18,12 +18,12 @@ axes and the run flags --alpha, --beta-m, --beta-sigma, --gamma).  Every
 number must be finite, and the numeric run flags are read by the same
 parsers as the YAML keys, so --max-evals must be an integer as in YAML.
 
-All three go through expand_configs, run_suite and write_suite_outputs; a
-single-trial run calls run_trial itself, for its live log.  The output
-directory ($LRACMA_OUT or ./lracma_out by default) is created after the
-configuration is validated and before any trial runs.  All outputs are
-byte-identical across reruns with the same inputs: no timestamps, floats via
-repr, deterministic ordering.
+All three go through expand_configs, one run_suite call (a sweep's points
+share its pool) and write_suite_outputs; a single-trial run calls run_trial
+itself, for its live log.  The output directory ($LRACMA_OUT or ./lracma_out
+by default) is created after the configuration is validated and before any
+trial runs.  All outputs are byte-identical across reruns with the same
+inputs: no timestamps, floats via repr, deterministic ordering.
 
 Exit codes: 0 target hit (all trials, for multi-trial runs), 1 budget
 exhausted, 3 numerical error, 2 usage or config errors.
@@ -37,6 +37,7 @@ import json
 import math
 import os
 import sys
+from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
@@ -441,7 +442,7 @@ def cmd_run(args) -> int:
 
         results = [run_trial(configs[0], on_iteration=log)]
     else:
-        results = run_suite(configs, jobs=args.jobs or None)
+        results = list(run_suite(configs, jobs=args.jobs or None))
     write_suite_outputs(out, sc, configs, results)
 
     for i, res in enumerate(results):
@@ -471,7 +472,7 @@ def cmd_suite(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    results = run_suite(configs, jobs=args.jobs or sc.jobs or None)
+    results = list(run_suite(configs, jobs=args.jobs or sc.jobs or None))
     write_suite_outputs(out, sc, configs, results)
     print(f"suite '{sc.name}': {len(results)} trials -> {out}")
     return 0
@@ -493,12 +494,14 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
 
     combined = []
-    for value, pc, configs in points:
-        results = run_suite(configs, jobs=args.jobs or sc.jobs or None)
-        sub = out / f"{sc.sweep_axis}={value:g}"
-        rows = write_suite_outputs(sub, pc, configs, results)
-        combined += [{sc.sweep_axis: value, **row} for row in rows]
-        print(f"sweep point {sc.sweep_axis}={value:g}: {len(results)} trials -> {sub}")
+    stream = run_suite([c for *_, cs in points for c in cs], jobs=args.jobs or sc.jobs or None)
+    with closing(stream):  # the last islice leaves it open; an error cancels the rest
+        for value, pc, configs in points:
+            results = list(itertools.islice(stream, len(configs)))
+            sub = out / f"{sc.sweep_axis}={value:g}"
+            rows = write_suite_outputs(sub, pc, configs, results)
+            combined += [{sc.sweep_axis: value, **row} for row in rows]
+            print(f"sweep point {sc.sweep_axis}={value:g}: {len(results)} trials -> {sub}")
     write_summary_csv(out / "sweep_summary.csv", combined)
     print(f"sweep '{sc.name}': {len(points)} points -> {out}")
     return 0

@@ -28,7 +28,8 @@ such a generation commits no state and adds no history row.
 
 Everything is a pure function of (config, seed): per-trial seeds are derived
 with SHA-256 from the base seed and the trial coordinates, so any subset of
-a suite reproduces identically.
+a suite reproduces identically, and ``run_suite`` yields a suite's results in
+config order, whether it runs them in this process or on one worker pool.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -361,10 +362,11 @@ def derive_trial_seed(
     return int.from_bytes(digest[:8], "little")
 
 
-def run_suite(configs: Sequence[TrialConfig], jobs: Optional[int] = None) -> List[TrialResult]:
-    """Run independent trials on a worker pool; results keep config order.
+def run_suite(configs: Sequence[TrialConfig], jobs: Optional[int] = None) -> Iterator[TrialResult]:
+    """Run independent trials on a worker pool; yield results in config order.
 
-    ``jobs=None`` starts one worker per CPU this process may run on.
+    ``jobs=None`` means one worker per CPU this process may run on, and a pool
+    has no more workers than configs.  Closing early cancels unstarted trials.
     """
     configs = list(configs)
     if jobs is None:
@@ -373,13 +375,13 @@ def run_suite(configs: Sequence[TrialConfig], jobs: Optional[int] = None) -> Lis
             jobs = len(os.sched_getaffinity(0))
         else:
             jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(configs) <= 1:
-        return [run_trial(c) for c in configs]
-    # imported here: it pulls in multiprocessing, which serial runs never need
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_trial, configs, chunksize=1))
+    if jobs > 1 and len(configs) > 1:
+        # imported here: it pulls in multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
+            yield from pool.map(run_trial, configs, chunksize=1)
+    else:
+        yield from map(run_trial, configs)  # in this process, through the global
 
 
 def group_trials(

@@ -72,7 +72,7 @@ def timed_serial(name):
     """Batch ``name``'s results, run in this process, and their wall time."""
     configs = batch_configs(name)
     start = time.perf_counter()
-    results = run_suite(configs, jobs=1)
+    results = list(run_suite(configs, jobs=1))
     return results, time.perf_counter() - start
 
 
@@ -90,13 +90,13 @@ def rastrigin_lra():
 # the results are those of a serial run
 @pytest.fixture(scope="module")
 def rastrigin_fixed():
-    return run_suite(batch_configs("rastrigin_fixed"))
+    return list(run_suite(batch_configs("rastrigin_fixed")))
 
 
 @pytest.fixture(scope="module")
 def noisy_sphere():
     lra, fixed = batch_configs("noisy_sphere_lra"), batch_configs("noisy_sphere_fixed")
-    results = run_suite(lra + fixed)
+    results = list(run_suite(lra + fixed))
     return results[: len(lra)], results[len(lra) :]
 
 
@@ -291,7 +291,7 @@ def test_criterion_9_noisy_eta_sigma_decay(noisy_sphere):
 def test_criterion_10_byte_identical_reruns(sphere_lra, tmp_path):
     configs = batch_configs("sphere_lra")
     digests = []
-    for tag, results in (("fixture", sphere_lra[0]), ("rerun", run_suite(configs, jobs=1))):
+    for tag, results in (("fixture", sphere_lra[0]), ("rerun", list(run_suite(configs, jobs=1)))):
         out = tmp_path / tag
         out.mkdir()
         write_results_csv(out / "results.csv", configs, results)

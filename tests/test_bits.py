@@ -226,7 +226,7 @@ def test_check_digest_fails_on_another_digest(monkeypatch):
 
 
 def test_grid_matches_recorded_digest():
-    check_digest("grid", results_digest(run_suite(grid_configs())))
+    check_digest("grid", results_digest(list(run_suite(grid_configs()))))
 
 
 def test_artifacts_match_recorded_digest(tmp_path, monkeypatch):

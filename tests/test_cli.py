@@ -1,12 +1,16 @@
 """Tests for the command-line front end: flags, configs, exit codes, outputs."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from lracma import cli, harness
 from lracma.cli import (
     ConfigError,
     EXIT_BUDGET,
@@ -443,6 +447,24 @@ class TestSuiteCommand:
         assert len(ecdfs[1]) == 6
         assert ecdfs[3] == ecdfs[1]
 
+    def test_serial_suite_runs_each_config_once_in_order_here(self, tmp_path, monkeypatch):
+        # code that swaps harness.run_trial for a recorder sees every trial
+        # of a serial suite, in config order and in this process
+        seen = []
+        run_trial = harness.run_trial
+
+        def recording(cfg, *args, **kwargs):
+            seen.append((cfg, os.getpid()))
+            return run_trial(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", recording)
+        text = MINIMAL.replace("optimizers: [lra]", "optimizers: [lra, fixed]")
+        cfg = write_config(tmp_path, text)
+        assert main(["suite", cfg, "--jobs", "1", "--out", str(tmp_path / "o")]) == 0
+        configs = expand_configs(load_suite_config(cfg))
+        assert len(configs) == 4
+        assert seen == [(c, os.getpid()) for c in configs]
+
 
 SWEEP = """
 suite:
@@ -505,6 +527,43 @@ class TestSweepCommand:
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("1.0,") and lines[2].startswith("2.0,")
+
+    def test_sweep_runs_every_point_on_one_pool(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        cfg = write_config(tmp_path, SWEEP.replace("values: [1.4]", "values: [1.0, 1.4, 2.0]"))
+        assert main(["sweep", cfg, "--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        assert main(["sweep", cfg, "--jobs", "2", "--out", str(tmp_path / "pooled")]) == 0
+        assert pools == [{"max_workers": 2}]
+        for point in ("alpha=1", "alpha=1.4", "alpha=2"):
+            for name in ("results.csv", "summary.csv"):
+                pooled = (tmp_path / "pooled" / point / name).read_bytes()
+                assert pooled == (tmp_path / "serial" / point / name).read_bytes()
+
+    def test_an_error_partway_through_a_sweep_shuts_its_pool_down(self, tmp_path, monkeypatch):
+        write_suite_outputs = cli.write_suite_outputs
+        calls = []
+
+        def fail_on_the_second_point(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("cannot write the second point")
+            return write_suite_outputs(*args)
+
+        monkeypatch.setattr(cli, "write_suite_outputs", fail_on_the_second_point)
+        cfg = write_config(tmp_path, SWEEP.replace("values: [1.4]", "values: [1.0, 1.4, 2.0]"))
+        # the held traceback keeps cmd_sweep's frame, and so its stream, alive:
+        # only the command's own close can have shut the pool down
+        with pytest.raises(RuntimeError, match="second point") as raised:
+            main(["sweep", cfg, "--jobs", "2", "--out", str(tmp_path / "o")])
+        assert len(calls) == 2
+        assert multiprocessing.active_children() == []
 
 
 def test_console_script_entry_point(tmp_path):

@@ -494,7 +494,7 @@ class TestSuite:
         ]
 
     def test_single_config(self):
-        results = run_suite(self.small_grid(trials=1))
+        results = list(run_suite(self.small_grid(trials=1)))
         assert len(results) == 1 and results[0].success
 
     def test_seed_derivation_is_stable(self):
@@ -506,7 +506,7 @@ class TestSuite:
 
     def test_summarize_groups(self):
         configs = self.small_grid()
-        results = run_suite(configs)
+        results = list(run_suite(configs))
         rows = summarize(configs, results)
         assert len(rows) == 1
         row = rows[0]
@@ -516,14 +516,15 @@ class TestSuite:
 
     def test_worker_pool_matches_serial_execution(self):
         configs = self.small_grid()
-        serial = run_suite(configs, jobs=1)
-        parallel = run_suite(configs, jobs=2)
+        serial = list(run_suite(configs, jobs=1))
+        parallel = list(run_suite(configs, jobs=2))
         for a, b in zip(serial, parallel):
             assert a.termination == b.termination
             assert np.array_equal(a.history.data, b.history.data, equal_nan=True)
 
-    @pytest.mark.parametrize("affinity, expected", [({0, 3, 5}, 3), (None, 64)])
-    def test_default_workers_follow_the_affinity_mask(self, monkeypatch, affinity, expected):
+    def pool_sizes(self, monkeypatch, affinity, n_configs):
+        """Sizes of the pools run_suite starts, at the default jobs, with the
+        given affinity mask (None: no mask) and 64 CPUs."""
         # a fake pool records its size and runs nothing, so no process starts
         sizes = []
 
@@ -546,12 +547,20 @@ class TestSuite:
             monkeypatch.delattr("os.sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr("os.sched_getaffinity", lambda pid: affinity, raising=False)
-        run_suite(self.small_grid(trials=2))
-        assert sizes == [expected]
+        assert list(run_suite(self.small_grid(trials=n_configs))) == [None] * n_configs
+        return sizes
+
+    @pytest.mark.parametrize("affinity, expected", [({0, 3, 5}, 3), (None, 64)])
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch, affinity, expected):
+        # 64 configs, so that the cap of one worker per config does not bind
+        assert self.pool_sizes(monkeypatch, affinity, n_configs=64) == [expected]
+
+    def test_pool_has_no_more_workers_than_configs(self, monkeypatch):
+        assert self.pool_sizes(monkeypatch, {0, 3, 5}, n_configs=2) == [2]
 
     def test_results_csv_schema(self, tmp_path):
         configs = self.small_grid(trials=2)
-        results = run_suite(configs)
+        results = list(run_suite(configs))
         path = tmp_path / "results.csv"
         write_results_csv(path, configs, results)
         lines = path.read_text().splitlines()
@@ -562,7 +571,7 @@ class TestSuite:
         assert lines[1].startswith("sphere,5,lra,,,0.0,")
 
     def test_history_csv_schema(self, tmp_path):
-        res = run_suite(self.small_grid(trials=1))[0]
+        res = list(run_suite(self.small_grid(trials=1)))[0]
         path = tmp_path / "history.csv"
         write_history_csv(path, res.history)
         lines = path.read_text().splitlines()
@@ -587,7 +596,7 @@ class TestSuite:
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
 
     def test_ecdf_from_results(self):
-        results = run_suite(self.small_grid())
+        results = list(run_suite(self.small_grid()))
         spec = EcdfSpec(n_targets=10)
         curve = ecdf_from_results(results, spec)
         assert curve.n_pairs == 30
